@@ -5,13 +5,14 @@
 //
 // Every world-set evaluation goes through api::Session — one facade, one
 // engine lowering, interchangeable backends. Besides the paper's WSDT
-// curves, a cross-backend section runs the same queries over the
-// Section 4 WSD representation and the Section 3 C/F/W uniform store of
-// the same world set at small sizes (the WSD operators materialize
-// |R|max-sized intermediates and the uniform store pays template-
-// semantics round trips for the non-relational operators, so this section
-// stays small — which is the paper's point: the template refinement is
-// what scales), tracking the WSD-vs-WSDT-vs-uniform trajectory.
+// curves, a cross-backend section runs the same queries over a wsd
+// session (the Section 4 WSD is adopted as its WSDT at the Session edge,
+// so it runs the WSDT operators and tracks the wsdt column) and the
+// Section 3 C/F/W uniform store of the same world set at small sizes (the
+// uniform store pays template-semantics round trips for the
+// non-relational operators, so this section stays small — which is the
+// paper's point: the template refinement is what scales), tracking the
+// WSD-vs-WSDT-vs-uniform trajectory.
 //
 // Expected shape: per query, time grows linearly with relation size, the
 // density curves sit on top of each other and track the 0% one-world curve
@@ -150,8 +151,7 @@ int main(int argc, char** argv) {
 
   // Cross-backend trajectory: identical plans over WSD, WSDT, the uniform
   // C/F/W store and the columnar U-relations store through the one Session
-  // facade. WSD intermediates are |R|max-sized, Q5's product composes
-  // components quadratically (~14 s at 32 rows), and the uniform store
+  // facade. The wsd session runs on the WSDT backend; the uniform store
   // pays whole-store template-semantics round trips for non-relational
   // operators, so this section stays at small fixed sizes regardless of
   // MAYWSD_SCALE — which is the paper's point: the template refinement and

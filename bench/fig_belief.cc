@@ -388,10 +388,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The wsd reference backend evaluates the bad-witness plan (Product +
-  // Difference over the enumerated world set) super-linearly in rows —
-  // ~3.5 s/query at 60 census rows. The default sizes keep the full-scale
-  // race honest but finite; the wsd-vs-rest witness gap IS the figure.
+  // The bad-witness plan (Product + Difference over the enumerated world
+  // set) grows super-linearly in rows on every backend; the default sizes
+  // keep the full-scale race honest but finite. The wsd session adopts
+  // its WSD as a WSDT at the Session edge, so its cells track wsdt's.
   const double scale = maywsd::bench::ScaleFactor();
   const size_t rows = std::max<size_t>(static_cast<size_t>(64 * scale), 24);
   const int moves = std::max(4, static_cast<int>(16 * scale));

@@ -160,7 +160,9 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < k; ++i) {
       if (!AddFactor(wsd, i, kChainWorlds).ok()) return 1;
     }
-    api::Session session = api::Session::Open(std::move(wsd));
+    auto session_or = api::Session::Open(wsd);
+    if (!session_or.ok()) return 1;
+    api::Session session = std::move(session_or).value();
     Plan plan = Plan::Scan("R0");
     for (size_t i = 1; i < k; ++i) {
       plan = Plan::Product(std::move(plan),
@@ -219,7 +221,9 @@ int main(int argc, char** argv) {
       // stays at 2^(k+1) local worlds, small enough to materialize.
       if (!AddFactor(wsd, i, 2).ok()) return 1;
     }
-    api::Session session = api::Session::Open(std::move(wsd));
+    auto session_or = api::Session::Open(wsd);
+    if (!session_or.ok()) return 1;
+    api::Session session = std::move(session_or).value();
     // Align every factor onto P's schema so difference is well-typed.
     Plan plan = Plan::Scan("R0");
     for (size_t i = 1; i <= k; ++i) {

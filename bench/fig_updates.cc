@@ -85,8 +85,9 @@ int main(int argc, char** argv) {
   std::vector<Sample> samples;
 
   // The WSDT, uniform and U-relations stores take the paper-scale ticks;
-  // the WSD path materializes one component per field and stays at the
-  // smallest tick (the same asymmetry as the fig30 cross-backend section).
+  // the wsd session runs on the same WSDT backend (adopted at the Session
+  // edge), so it stays at the smallest tick rather than repeat the wsdt
+  // cells.
   // The urel cell runs unconditional updates natively on the columnar
   // store and pays the one-round-trip fallback only for cond-modify.
   std::vector<size_t> ticks = bench::SizeTicks();

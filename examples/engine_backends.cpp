@@ -1,10 +1,11 @@
 // One query, one front door, four representations.
 //
 // api::Session is the representation-agnostic facade over the world-set
-// engine: the same rel::Plan runs over (a) the Section 4 WSD, (b) the
-// Section 5 WSDT template refinement, (c) the C/F/W uniform relational
-// encoding of Section 3, and (d) the columnar U-relations store — and the
-// same answer-side questions (possible tuples with confidence) are asked
+// engine: the same rel::Plan runs over (a) the Section 4 WSD (adopted as
+// its template decomposition at the Session edge), (b) the Section 5 WSDT
+// template refinement, (c) the C/F/W uniform relational encoding of
+// Section 3, and (d) the columnar U-relations store — and the same
+// answer-side questions (possible tuples with confidence) are asked
 // through the same interface. Every session comes from the one
 // Session::Open entry point, and the world sets agree tuple for tuple
 // across all four backends.
@@ -47,13 +48,16 @@ int main() {
                            Plan::Project({"S", "M"}, Plan::Scan("R")));
 
   // The same session calls against all four representations, all through
-  // the one Session::Open front door (the uniform and U-relations stores
-  // are converted from the template on open).
+  // the one Session::Open front door (the WSD is adopted as its template
+  // decomposition; the uniform and U-relations stores are converted from
+  // the template on open).
+  auto wsd_or = api::Session::Open(wsd);
+  if (!wsd_or.ok()) return 1;
   auto uniform_or = api::Session::Open(api::BackendKind::kUniform, wsdt);
   if (!uniform_or.ok()) return 1;
   auto urel_or = api::Session::Open(api::BackendKind::kUrel, wsdt);
   if (!urel_or.ok()) return 1;
-  api::Session sessions[] = {api::Session::Open(std::move(wsd)),
+  api::Session sessions[] = {std::move(wsd_or).value(),
                              api::Session::Open(std::move(wsdt)),
                              std::move(uniform_or).value(),
                              std::move(urel_or).value()};

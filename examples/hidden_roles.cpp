@@ -72,7 +72,7 @@ Result<api::Session> DealSession(api::BackendKind kind, size_t self) {
   for (core::PossibleWorld& w : worlds) w.prob /= worlds.size();
   MAYWSD_ASSIGN_OR_RETURN(core::Wsd wsd, core::WsdFromWorlds(worlds));
   if (kind == api::BackendKind::kWsd) {
-    return api::Session::Open(std::move(wsd));
+    return api::Session::Open(wsd);
   }
   MAYWSD_ASSIGN_OR_RETURN(core::Wsdt wsdt, core::Wsdt::FromWsd(wsd));
   return api::Session::Open(kind, wsdt);

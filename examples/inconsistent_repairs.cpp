@@ -84,7 +84,9 @@ int main() {
       stats.template_rows, stats.num_components);
 
   // Query: engineers earning at least 90000 — through the Session facade.
-  api::Session session = api::Session::Open(std::move(wsd));
+  auto session_or = api::Session::Open(wsd);
+  if (!session_or.ok()) return 1;
+  api::Session session = std::move(session_or).value();
   rel::Plan q = rel::Plan::Project(
       {"EMP"},
       rel::Plan::Select(

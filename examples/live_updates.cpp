@@ -112,8 +112,9 @@ Status RunScenario(api::Session& session, const char* backend) {
 int main() {
   core::Wsd wsd = Inventory();
 
-  api::Session over_wsd = api::Session::Open(core::Wsd(wsd));
-  if (!RunScenario(over_wsd, "wsd").ok()) return 1;
+  auto over_wsd = api::Session::Open(wsd);
+  if (!over_wsd.ok()) return 1;
+  if (!RunScenario(over_wsd.value(), "wsd").ok()) return 1;
 
   auto wsdt = core::Wsdt::FromWsd(wsd);
   if (!wsdt.ok()) return 1;

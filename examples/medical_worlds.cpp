@@ -10,13 +10,14 @@
 // must be compatible with the diagnosis, plus an independent lab result.
 // Queries run through the api::Session facade: possible diagnoses,
 // commonly prescribed medication for a set of diseases, and the effect of
-// new evidence (an EGD) on the distribution. The chase is
-// representation-level tooling and conditions the session's WSD in place.
+// new evidence (an EGD) on the distribution. The session adopts the WSD
+// as its template decomposition; the chase is representation-level
+// tooling and conditions that WSDT in place.
 
 #include <cstdio>
 
 #include "api/session.h"
-#include "core/chase.h"
+#include "core/wsdt_chase.h"
 
 using namespace maywsd;
 using core::Component;
@@ -49,7 +50,9 @@ int main() {
   }
   std::printf("patient record as a WSD:\n%s\n", wsd.ToString().c_str());
 
-  api::Session session = api::Session::Open(std::move(wsd));
+  auto session_or = api::Session::Open(wsd);
+  if (!session_or.ok()) return 1;
+  api::Session session = std::move(session_or).value();
 
   // Possible diagnoses with confidence.
   if (Status st = session.Run(
@@ -78,7 +81,7 @@ int main() {
   evidence.premises = {{"MARKER", rel::CmpOp::kEq,
                         Value::String("elevated")}};
   evidence.conclusion = {"DIAG", rel::CmpOp::kNe, Value::String("flu")};
-  if (Status st = core::ChaseEgd(*session.wsd(), evidence); !st.ok()) {
+  if (Status st = core::WsdtChaseEgd(*session.wsdt(), evidence); !st.ok()) {
     std::printf("chase failed: %s\n", st.ToString().c_str());
     return 1;
   }

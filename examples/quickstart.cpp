@@ -109,7 +109,12 @@ int main() {
               prob.ToString().c_str());
 
   // -- Step 4: query and confidence (Example 11), via the Session API. ----
-  api::Session session = api::Session::Open(std::move(prob));
+  auto session_or = api::Session::Open(prob);
+  if (!session_or.ok()) {
+    std::printf("open failed: %s\n", session_or.status().ToString().c_str());
+    return 1;
+  }
+  api::Session session = std::move(session_or).value();
   if (Status st = session.Run(rel::Plan::Project({"S"}, rel::Plan::Scan("R")),
                               "Q");
       !st.ok()) {

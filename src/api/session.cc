@@ -16,7 +16,6 @@
 #include "core/engine/uniform_backend.h"
 #include "core/engine/update_plan.h"
 #include "core/engine/urel_backend.h"
-#include "core/engine/wsd_backend.h"
 #include "core/engine/wsdt_backend.h"
 #include "core/component_store.h"
 #include "core/uniform.h"
@@ -69,10 +68,10 @@ struct AnswerEntry {
 
 /// The owned representation plus its engine adapter. The variant lives in
 /// a heap-allocated Rep so the adapter's pointer into it stays stable
-/// across Session moves.
+/// across Session moves. kWsd and kWsdt both hold the Wsdt alternative.
 struct Session::Rep {
   BackendKind kind;
-  std::variant<core::Wsd, core::Wsdt, rel::Database, core::Urel> data;
+  std::variant<core::Wsdt, rel::Database, core::Urel> data;
   std::unique_ptr<core::engine::WorldSetOps> backend;
   SessionOptions options;
   // Two-level locking, always state_mu before cache_mu:
@@ -142,24 +141,24 @@ Session::~Session() = default;
 Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
 
-Session Session::Open(core::Wsd wsd, SessionOptions options) {
+Session Session::OpenWsdt(BackendKind kind, core::Wsdt wsdt,
+                          SessionOptions options) {
   auto rep = std::make_unique<Rep>();
-  rep->kind = BackendKind::kWsd;
-  rep->data = std::move(wsd);
-  rep->backend = std::make_unique<core::engine::WsdBackend>(
-      std::get<core::Wsd>(rep->data));
-  rep->options = options;
-  return Session(std::move(rep));
-}
-
-Session Session::Open(core::Wsdt wsdt, SessionOptions options) {
-  auto rep = std::make_unique<Rep>();
-  rep->kind = BackendKind::kWsdt;
+  rep->kind = kind;
   rep->data = std::move(wsdt);
   rep->backend = std::make_unique<core::engine::WsdtBackend>(
       std::get<core::Wsdt>(rep->data));
   rep->options = options;
   return Session(std::move(rep));
+}
+
+Result<Session> Session::Open(const core::Wsd& wsd, SessionOptions options) {
+  MAYWSD_ASSIGN_OR_RETURN(core::Wsdt wsdt, core::Wsdt::FromWsd(wsd));
+  return OpenWsdt(BackendKind::kWsd, std::move(wsdt), options);
+}
+
+Session Session::Open(core::Wsdt wsdt, SessionOptions options) {
+  return OpenWsdt(BackendKind::kWsdt, std::move(wsdt), options);
 }
 
 Session Session::Open(rel::Database db, SessionOptions options) {
@@ -185,7 +184,6 @@ Session Session::Open(core::Urel urel, SessionOptions options) {
 Session Session::Open(BackendKind kind, SessionOptions options) {
   switch (kind) {
     case BackendKind::kWsd:
-      return Open(core::Wsd(), options);
     case BackendKind::kWsdt:
       break;
     case BackendKind::kUniform:
@@ -194,16 +192,13 @@ Session Session::Open(BackendKind kind, SessionOptions options) {
     case BackendKind::kUrel:
       return Open(core::Urel(), options);
   }
-  return Open(core::Wsdt(), options);
+  return OpenWsdt(kind, core::Wsdt(), options);
 }
 
 Result<Session> Session::Open(BackendKind kind, const core::Wsdt& wsdt,
                               SessionOptions options) {
   switch (kind) {
-    case BackendKind::kWsd: {
-      MAYWSD_ASSIGN_OR_RETURN(core::Wsd wsd, wsdt.ToWsd());
-      return Open(std::move(wsd), options);
-    }
+    case BackendKind::kWsd:
     case BackendKind::kWsdt:
       break;
     case BackendKind::kUniform: {
@@ -215,13 +210,13 @@ Result<Session> Session::Open(BackendKind kind, const core::Wsdt& wsdt,
       return Open(std::move(urel), options);
     }
   }
-  return Open(core::Wsdt(wsdt), options);
+  return OpenWsdt(kind, core::Wsdt(wsdt), options);
 }
 
 BackendKind Session::kind() const { return rep_->kind; }
 
 std::string_view Session::BackendName() const {
-  return rep_->backend->BackendName();
+  return BackendKindName(rep_->kind);
 }
 
 bool Session::HasRelation(std::string_view name) const {
@@ -364,10 +359,9 @@ Session Session::CowClone(SessionOptions clone_options,
   std::optional<Session> clone;
   switch (rep_->kind) {
     case BackendKind::kWsd:
-      clone = Open(core::Wsd(std::get<core::Wsd>(rep_->data)), clone_options);
-      break;
     case BackendKind::kWsdt:
-      clone = Open(core::Wsdt(std::get<core::Wsdt>(rep_->data)), clone_options);
+      clone = OpenWsdt(rep_->kind, std::get<core::Wsdt>(rep_->data),
+                       clone_options);
       break;
     case BackendKind::kUniform:
       clone = Open(rel::Database(std::get<rel::Database>(rep_->data)),
@@ -543,14 +537,6 @@ const core::engine::WorldSetOps& Session::ops() const {
   return *rep_->backend;
 }
 
-core::Wsd* Session::wsd() {
-  std::unique_lock<std::shared_mutex> write(rep_->state_mu);
-  rep_->InvalidateAll();
-  return std::get_if<core::Wsd>(&rep_->data);
-}
-const core::Wsd* Session::wsd() const {
-  return std::get_if<core::Wsd>(&rep_->data);
-}
 core::Wsdt* Session::wsdt() {
   std::unique_lock<std::shared_mutex> write(rep_->state_mu);
   rep_->InvalidateAll();

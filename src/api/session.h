@@ -12,11 +12,20 @@
 // answer-side questions — PossibleTuples, CertainTuples, TupleConfidence —
 // through one interface regardless of which backend holds the data.
 //
+// The WSD family runs on one algebra. Section 5 defines a WSDT as a WSD
+// plus template relations holding what every world agrees on, so a kWsd
+// session adopts its Section 4 decomposition at the edge (Wsdt::FromWsd)
+// and from then on holds a Wsdt: every operator, update, answer and
+// fan-out runs through the WSDT backend, exactly as on kWsdt. The kind
+// stays a tag — it names what the caller handed in — and core::Wsd stays
+// the Section 4 data type and oracle (chase, or-sets, normalization, world
+// enumeration, confidence) below the facade.
+//
 // Representation-level tooling (chase, normalization, statistics, or-set
-// noise) stays below the facade; wsd()/wsdt()/uniform()/urel() expose the
-// owned representation for it. The historical per-representation entry
-// points (WsdEvaluate, WsdtEvaluate*, confidence.h, wsdt_confidence.h)
-// remain as thin compatibility shims over the same engine code.
+// noise) stays below the facade; wsdt()/uniform()/urel() expose the owned
+// representation for it. The historical per-representation entry points
+// (WsdtEvaluate*, confidence.h, wsdt_confidence.h) remain as thin
+// compatibility shims over the same engine code.
 //
 // Concurrency: a Session is internally synchronized. Mutators (Register,
 // Drop, Run*, Apply*, the mutable representation accessors) serialize
@@ -136,8 +145,12 @@ class Session {
   /// Over an empty store of the given kind.
   static Session Open(BackendKind kind, SessionOptions options = {});
 
-  /// Over an existing Section 4 world-set decomposition.
-  static Session Open(core::Wsd wsd, SessionOptions options = {});
+  /// Over an existing Section 4 world-set decomposition (kind kWsd),
+  /// adopted as its WSDT (Wsdt::FromWsd). A malformed decomposition — one
+  /// FromWsd rejects, e.g. a partially covered tuple slot — comes back as
+  /// that error.
+  static Result<Session> Open(const core::Wsd& wsd,
+                              SessionOptions options = {});
 
   /// Over an existing Section 5 template decomposition.
   static Session Open(core::Wsdt wsdt, SessionOptions options = {});
@@ -149,8 +162,8 @@ class Session {
   /// Over an existing columnar U-relations store.
   static Session Open(core::Urel urel, SessionOptions options = {});
 
-  /// Over the `kind` encoding of an existing WSDT (kWsd via ToWsd, kWsdt
-  /// by copy, kUniform via ExportUniform, kUrel via ExportUrel).
+  /// Over the `kind` encoding of an existing WSDT (kWsd and kWsdt by
+  /// copy-on-write copy, kUniform via ExportUniform, kUrel via ExportUrel).
   static Result<Session> Open(BackendKind kind, const core::Wsdt& wsdt,
                               SessionOptions options = {});
 
@@ -161,8 +174,7 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   BackendKind kind() const;
-  /// Backend tag as reported by the engine ("wsd", "wsdt", "uniform",
-  /// "urel").
+  /// BackendKindName(kind()): "wsd", "wsdt", "uniform" or "urel".
   std::string_view BackendName() const;
 
   // -- Execution policy ------------------------------------------------------
@@ -290,9 +302,8 @@ class Session {
   core::engine::WorldSetOps& ops();
   const core::engine::WorldSetOps& ops() const;
 
-  /// The owned representation; non-null only for the matching kind().
-  core::Wsd* wsd();
-  const core::Wsd* wsd() const;
+  /// The owned representation; non-null only for the matching kind()
+  /// (wsdt() for both kWsd and kWsdt).
   core::Wsdt* wsdt();
   const core::Wsdt* wsdt() const;
   rel::Database* uniform();
@@ -304,6 +315,10 @@ class Session {
   struct Rep;
   friend class Snapshot;
   explicit Session(std::shared_ptr<Rep> rep);
+
+  /// Over `wsdt` through the WSDT backend, tagged `kind` (kWsd or kWsdt).
+  static Session OpenWsdt(BackendKind kind, core::Wsdt wsdt,
+                          SessionOptions options);
 
   /// Clone backing Snapshot()/Fork(): O(relations) COW copy of the
   /// representation plus the version vector, taken under the reader lock.

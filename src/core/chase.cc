@@ -84,14 +84,6 @@ Result<std::set<int32_t>> PresenceComponents(const Wsd& wsd,
       out.insert(loc.comp);
     }
   }
-  // Extra-schema "exists" fields also decide presence.
-  for (const FieldKey& pf : wsd.PresenceFieldsOfTuple(rel, t)) {
-    MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsd.Locate(pf));
-    if (wsd.component(loc.comp).ColumnHasBottom(
-            static_cast<size_t>(loc.col))) {
-      out.insert(loc.comp);
-    }
-  }
   return out;
 }
 

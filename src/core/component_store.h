@@ -216,7 +216,7 @@ void Account(Node& n);
 // -- Non-forcing structural probes --------------------------------------------
 //
 // Column predicates used by the algebra's certain-column fast paths and by
-// UpdateGuard::Analyze. They recurse over the DAG (compose delegates to
+// WsdtUpdateGuard::Analyze. They recurse over the DAG (compose delegates to
 // the side that owns the column, ext resolves the appended column), so
 // probing never materializes a product. All return false for null or
 // zero-world nodes, matching the eager semantics.

@@ -38,8 +38,6 @@ class UnionFind {
 struct Slot {
   TupleId tid;
   std::vector<FieldLoc> locs;  // one per schema attribute
-  std::vector<FieldKey> presence_fields;
-  std::vector<FieldLoc> presence_locs;
 };
 
 /// Collects the present slots of `relation` with their field locations.
@@ -59,13 +57,7 @@ Result<std::vector<Slot>> CollectSlots(const Wsd& wsd,
       }
       slot.locs.push_back(loc.value());
     }
-    if (!present) continue;
-    for (const FieldKey& pf : wsd.PresenceFieldsOfTuple(rel, t)) {
-      MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsd.Locate(pf));
-      slot.presence_fields.push_back(pf);
-      slot.presence_locs.push_back(loc);
-    }
-    slots.push_back(std::move(slot));
+    if (present) slots.push_back(std::move(slot));
   }
   return slots;
 }
@@ -128,15 +120,11 @@ Result<double> TupleConfidence(const Wsd& wsd, const std::string& relation,
   }
   if (candidates.empty()) return 0.0;
 
-  // Group components connected via candidate slots (including their
-  // presence fields, which decide tuple existence).
+  // Group components connected via candidate slots.
   UnionFind uf;
   for (const Slot& slot : candidates) {
     for (size_t a = 1; a < slot.locs.size(); ++a) {
       uf.Union(slot.locs[0].comp, slot.locs[a].comp);
-    }
-    for (const FieldLoc& loc : slot.presence_locs) {
-      uf.Union(slot.locs[0].comp, loc.comp);
     }
   }
   // Per group: the components involved and, per component, the columns of
@@ -155,7 +143,6 @@ Result<double> TupleConfidence(const Wsd& wsd, const std::string& relation,
       group_cols[g][loc.comp].insert(static_cast<size_t>(loc.col));
     };
     for (const FieldLoc& loc : slot.locs) note(loc);
-    for (const FieldLoc& loc : slot.presence_locs) note(loc);
   }
 
   double not_conf = 1.0;
@@ -173,14 +160,6 @@ Result<double> TupleConfidence(const Wsd& wsd, const std::string& relation,
           int col = combined.FindField(f);
           if (col < 0 || !(combined.at(w, static_cast<size_t>(col)) ==
                            tuple[a])) {
-            match = false;
-          }
-        }
-        // A ⊥ presence field deletes the tuple in this local world.
-        for (size_t p = 0; p < slot->presence_fields.size() && match; ++p) {
-          int col = combined.FindField(slot->presence_fields[p]);
-          if (col < 0 ||
-              combined.at(w, static_cast<size_t>(col)).is_bottom()) {
             match = false;
           }
         }
@@ -203,8 +182,7 @@ Result<rel::Relation> PossibleTuples(const Wsd& wsd,
   rel::Relation out(rel->schema, "possible_" + relation);
   std::vector<rel::Value> row(rel->schema.arity());
   for (const Slot& slot : slots) {
-    // Compose the components this slot spans (fields plus presence
-    // fields), projected onto its columns.
+    // Compose the components this slot spans, projected onto its columns.
     std::vector<int> comps;
     std::map<int, std::set<size_t>> cols;
     auto note = [&](const FieldLoc& loc) {
@@ -214,7 +192,6 @@ Result<rel::Relation> PossibleTuples(const Wsd& wsd,
       cols[loc.comp].insert(static_cast<size_t>(loc.col));
     };
     for (const FieldLoc& loc : slot.locs) note(loc);
-    for (const FieldLoc& loc : slot.presence_locs) note(loc);
     MAYWSD_ASSIGN_OR_RETURN(Component combined,
                             ComposeGroup(wsd, comps, cols));
     // Map schema attributes to combined columns once.
@@ -226,20 +203,10 @@ Result<rel::Relation> PossibleTuples(const Wsd& wsd,
         return Status::Internal("missing column in tuple-level component");
       }
     }
-    std::vector<int> presence_col;
-    for (const FieldKey& pf : slot.presence_fields) {
-      presence_col.push_back(combined.FindField(pf));
-    }
     for (size_t w = 0; w < combined.NumWorlds(); ++w) {
       if (combined.prob(w) <= 0.0) continue;  // zero-mass local world
       bool has_bottom = false;
-      for (int pc : presence_col) {
-        if (pc < 0 || combined.at(w, static_cast<size_t>(pc)).is_bottom()) {
-          has_bottom = true;
-          break;
-        }
-      }
-      for (size_t a = 0; a < rel->schema.arity() && !has_bottom; ++a) {
+      for (size_t a = 0; a < rel->schema.arity(); ++a) {
         const rel::Value& v =
             combined.at(w, static_cast<size_t>(attr_col[a]));
         if (v.is_bottom()) {

@@ -9,9 +9,10 @@
 // probabilities per component group, and combines the independent groups as
 // c = 1 − Π(1 − conf_C).
 //
-// These free functions are the WSD implementation behind the engine's
-// answer surface (WorldSetOps::PossibleTuples/CertainTuples/…); callers
-// that do not already hold a bare Wsd should go through api::Session.
+// These free functions answer over a bare Wsd — the Section 4 oracle.
+// Sessions, kWsd included, answer through the WSDT backend
+// (core/wsdt_confidence.h); callers that do not already hold a bare Wsd
+// should go through api::Session.
 
 #ifndef MAYWSD_CORE_CONFIDENCE_H_
 #define MAYWSD_CORE_CONFIDENCE_H_

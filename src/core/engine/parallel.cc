@@ -131,12 +131,10 @@ struct LeafInfo {
 /// a union of slices of that leaf: σ/π/δ (unary), × and ⋈ (either side),
 /// − (left side only). Union does not distribute slice-wise (the other
 /// branch would be replicated per slice), nor does the right side of a
-/// difference. Also records whether every operator kind in the plan is
-/// declared shardable by the backend.
-void AnalyzePlan(const WorldSetOps& ops, const rel::Plan& plan,
-                 bool distributive,
+/// difference.
+void AnalyzePlan(const rel::Plan& plan, bool distributive,
                  std::unordered_map<std::string, LeafInfo>* leaves,
-                 std::vector<std::string>* leaf_order, bool* ops_shardable) {
+                 std::vector<std::string>* leaf_order) {
   using K = rel::Plan::Kind;
   if (plan.kind() == K::kScan) {
     auto [it, fresh] = leaves->try_emplace(plan.relation());
@@ -145,30 +143,24 @@ void AnalyzePlan(const WorldSetOps& ops, const rel::Plan& plan,
     it->second.distributive |= distributive;
     return;
   }
-  if (!ops.ShardableOperator(plan.kind())) *ops_shardable = false;
   switch (plan.kind()) {
     case K::kSelect:
     case K::kProject:
     case K::kRename:
-      AnalyzePlan(ops, plan.child(), distributive, leaves, leaf_order,
-                  ops_shardable);
+      AnalyzePlan(plan.child(), distributive, leaves, leaf_order);
       return;
     case K::kProduct:
     case K::kJoin:
-      AnalyzePlan(ops, plan.left(), distributive, leaves, leaf_order,
-                  ops_shardable);
-      AnalyzePlan(ops, plan.right(), distributive, leaves, leaf_order,
-                  ops_shardable);
+      AnalyzePlan(plan.left(), distributive, leaves, leaf_order);
+      AnalyzePlan(plan.right(), distributive, leaves, leaf_order);
       return;
     case K::kDifference:
-      AnalyzePlan(ops, plan.left(), distributive, leaves, leaf_order,
-                  ops_shardable);
-      AnalyzePlan(ops, plan.right(), false, leaves, leaf_order,
-                  ops_shardable);
+      AnalyzePlan(plan.left(), distributive, leaves, leaf_order);
+      AnalyzePlan(plan.right(), false, leaves, leaf_order);
       return;
     case K::kUnion:
-      AnalyzePlan(ops, plan.left(), false, leaves, leaf_order, ops_shardable);
-      AnalyzePlan(ops, plan.right(), false, leaves, leaf_order, ops_shardable);
+      AnalyzePlan(plan.left(), false, leaves, leaf_order);
+      AnalyzePlan(plan.right(), false, leaves, leaf_order);
       return;
     case K::kScan:
       return;
@@ -183,12 +175,8 @@ Result<std::unique_ptr<ShardRequest>> FindShardCandidate(
     const WorldSetOps& ops, const rel::Plan& plan, size_t max_shards) {
   std::unordered_map<std::string, LeafInfo> leaves;
   std::vector<std::string> leaf_order;
-  bool ops_shardable = true;
-  AnalyzePlan(ops, plan, /*distributive=*/true, &leaves, &leaf_order,
-              &ops_shardable);
-  if (!ops_shardable || leaf_order.empty()) {
-    return std::unique_ptr<ShardRequest>();
-  }
+  AnalyzePlan(plan, /*distributive=*/true, &leaves, &leaf_order);
+  if (leaf_order.empty()) return std::unique_ptr<ShardRequest>();
   // Certainty per distinct leaf, computed once.
   std::unordered_map<std::string, bool> certain;
   for (const std::string& name : leaf_order) {

@@ -184,12 +184,7 @@ Result<std::string> EvalPlanUncached(WorldSetOps& ops, ScratchScope& scope,
       MAYWSD_ASSIGN_OR_RETURN(std::string child,
                               EvalPlan(ops, scope, plan.child(), cache));
       std::string out = scope.Fresh();
-      if (ops.SupportsProjectExists()) {
-        MAYWSD_RETURN_IF_ERROR(
-            ops.ProjectExists(child, out, plan.attributes()));
-      } else {
-        MAYWSD_RETURN_IF_ERROR(ops.Project(child, out, plan.attributes()));
-      }
+      MAYWSD_RETURN_IF_ERROR(ops.Project(child, out, plan.attributes()));
       return out;
     }
     case K::kRename: {

@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/engine/wsd_backend.h"
 #include "core/engine/wsdt_backend.h"
 #include "core/uniform.h"
 
@@ -192,107 +191,6 @@ class WsdtShardPlan final : public ShardPlan {
   std::vector<std::vector<size_t>> comps_;  ///< per-shard component indices
 };
 
-// -- WSD ----------------------------------------------------------------
-
-class WsdShardPlan final : public ShardPlan {
- public:
-  WsdShardPlan(Wsd* parent, std::string relation, std::vector<std::string> aux,
-               std::vector<std::vector<TupleId>> shards,
-               std::vector<std::vector<size_t>> comps)
-      : parent_(parent),
-        relation_(std::move(relation)),
-        aux_(std::move(aux)),
-        shards_(std::move(shards)),
-        comps_(std::move(comps)) {}
-
-  size_t NumShards() const override { return shards_.size(); }
-
-  Result<std::unique_ptr<WorldSetOps>> BuildShard(size_t i) const override {
-    const std::vector<TupleId>& tids = shards_[i];
-    MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* rel,
-                            parent_->FindRelation(relation_));
-
-    Wsd slice;
-    MAYWSD_RETURN_IF_ERROR(slice.AddRelation(
-        relation_, rel->schema, static_cast<TupleId>(tids.size())));
-    std::unordered_map<TupleId, TupleId> remap;
-    remap.reserve(tids.size());
-    for (size_t j = 0; j < tids.size(); ++j) {
-      remap[tids[j]] = static_cast<TupleId>(j);
-    }
-    for (size_t c : comps_[i]) {
-      Component proj = SliceComponent(
-          parent_->component(c), rel->name_sym, rel->name_sym,
-          [&remap](TupleId t) { return remap.count(t) > 0; },
-          [&remap](TupleId t) { return remap.at(t); });
-      if (proj.NumFields() == 0) continue;
-      MAYWSD_RETURN_IF_ERROR(slice.AddComponent(std::move(proj)));
-    }
-
-    for (const std::string& name : aux_) {
-      MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* aux_rel,
-                              parent_->FindRelation(name));
-      MAYWSD_RETURN_IF_ERROR(
-          slice.AddRelation(name, aux_rel->schema, aux_rel->max_tuples));
-      for (TupleId t = 0; t < aux_rel->max_tuples; ++t) {
-        // A slot with no fields is absent in every world; leave it empty.
-        for (const FieldKey& f : parent_->FieldsOfTuple(*aux_rel, t)) {
-          MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, parent_->Locate(f));
-          const Component& comp = parent_->component(loc.comp);
-          size_t col = static_cast<size_t>(loc.col);
-          if (!comp.ColumnConstant(col)) {
-            return Status::Internal("shard auxiliary " + name +
-                                    " is not certain");
-          }
-          MAYWSD_RETURN_IF_ERROR(slice.AddCertainField(f, comp.at(0, col)));
-        }
-      }
-    }
-    return std::unique_ptr<WorldSetOps>(
-        std::make_unique<WsdBackend>(std::move(slice)));
-  }
-
-  Status Absorb(size_t /*i*/, WorldSetOps& shard, const std::string& src,
-                const std::string& dst) override {
-    auto& backend = static_cast<WsdBackend&>(shard);
-    Wsd& sw = backend.wsd();
-    // Presence fields do not survive a merge across slices; fold them back
-    // into value columns first (the inverse of the exists-column
-    // optimization).
-    if (sw.HasPresenceFields()) {
-      MAYWSD_RETURN_IF_ERROR(sw.EliminatePresenceFields());
-    }
-    MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* srel, sw.FindRelation(src));
-    if (!parent_->HasRelation(dst)) {
-      MAYWSD_RETURN_IF_ERROR(parent_->AddRelation(dst, srel->schema, 0));
-    }
-    MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* drel,
-                            parent_->FindRelation(dst));
-    if (drel->schema != srel->schema) {
-      return Status::Internal("shard result schema mismatch for " + dst);
-    }
-    TupleId offset = drel->max_tuples;
-    MAYWSD_RETURN_IF_ERROR(parent_->GrowRelation(dst, srel->max_tuples));
-    Symbol dst_sym = InternString(dst);
-    for (size_t c : sw.LiveComponents()) {
-      Component proj = SliceComponent(
-          sw.component(c), srel->name_sym, dst_sym,
-          [](TupleId) { return true; },
-          [offset](TupleId t) { return t + offset; });
-      if (proj.NumFields() == 0) continue;
-      MAYWSD_RETURN_IF_ERROR(parent_->AddComponent(std::move(proj)));
-    }
-    return Status::Ok();
-  }
-
- private:
-  Wsd* parent_;
-  std::string relation_;
-  std::vector<std::string> aux_;
-  std::vector<std::vector<TupleId>> shards_;
-  std::vector<std::vector<size_t>> comps_;  ///< per-shard component indices
-};
-
 // -- Uniform ------------------------------------------------------------
 
 class UniformShardPlan final : public ShardPlan {
@@ -328,17 +226,15 @@ class UniformShardPlan final : public ShardPlan {
   std::unique_ptr<ShardPlan> inner_;
 };
 
-/// Shared planning core: group `relation`'s slots by component links and
-/// cut balanced shards. `num_slots` is the slot count of the relation.
-template <typename ComponentRange, typename GetComponent>
-std::vector<std::vector<TupleId>> PlanSlices(TupleId num_slots,
+/// Planning core: group `relation`'s slots by component links and cut
+/// balanced shards. `num_slots` is the slot count of the relation.
+std::vector<std::vector<TupleId>> PlanSlices(const Wsdt& parent,
+                                             TupleId num_slots,
                                              Symbol relation,
-                                             const ComponentRange& live,
-                                             const GetComponent& component,
                                              size_t max_shards) {
   std::vector<std::pair<TupleId, TupleId>> links;
-  for (size_t i : live) {
-    std::vector<TupleId> tids = OwnTuples(component(i), relation);
+  for (size_t i : parent.LiveComponents()) {
+    std::vector<TupleId> tids = OwnTuples(parent.component(i), relation);
     for (size_t j = 1; j < tids.size(); ++j) {
       links.emplace_back(tids[0], tids[j]);
     }
@@ -355,11 +251,9 @@ std::vector<std::vector<TupleId>> PlanSlices(TupleId num_slots,
 /// relation also covers another relation's columns: replacing the
 /// relation with re-absorbed slices would marginalize that component and
 /// lose the cross-relation correlation.
-template <typename ComponentRange, typename GetComponent>
 std::optional<std::vector<std::vector<size_t>>> AssignComponents(
-    const std::vector<std::vector<TupleId>>& shards, TupleId num_slots,
-    Symbol relation, const ComponentRange& live, const GetComponent& component,
-    bool require_pure) {
+    const Wsdt& parent, const std::vector<std::vector<TupleId>>& shards,
+    TupleId num_slots, Symbol relation, bool require_pure) {
   std::vector<uint32_t> shard_of_tid(static_cast<size_t>(num_slots), 0);
   for (size_t s = 0; s < shards.size(); ++s) {
     for (TupleId t : shards[s]) {
@@ -367,8 +261,8 @@ std::optional<std::vector<std::vector<size_t>>> AssignComponents(
     }
   }
   std::vector<std::vector<size_t>> comps(shards.size());
-  for (size_t i : live) {
-    const Component& comp = component(i);
+  for (size_t i : parent.LiveComponents()) {
+    const Component& comp = parent.component(i);
     std::vector<TupleId> tids = OwnTuples(comp, relation);
     if (tids.empty()) continue;
     if (require_pure) {
@@ -466,48 +360,16 @@ Result<std::unique_ptr<ShardPlan>> MakeWsdtShardPlan(const Wsdt& parent,
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* tmpl,
                           parent.Template(req.relation));
   Symbol sym = InternString(req.relation);
-  std::vector<std::vector<TupleId>> shards = PlanSlices(
-      static_cast<TupleId>(tmpl->NumRows()), sym, parent.LiveComponents(),
-      [&parent](size_t i) -> const Component& { return parent.component(i); },
-      req.max_shards);
+  TupleId num_slots = static_cast<TupleId>(tmpl->NumRows());
+  std::vector<std::vector<TupleId>> shards =
+      PlanSlices(parent, num_slots, sym, req.max_shards);
   if (shards.empty()) return std::unique_ptr<ShardPlan>();
   std::optional<std::vector<std::vector<size_t>>> comps = AssignComponents(
-      shards, static_cast<TupleId>(tmpl->NumRows()), sym,
-      parent.LiveComponents(),
-      [&parent](size_t i) -> const Component& { return parent.component(i); },
-      /*require_pure=*/req.for_update);
+      parent, shards, num_slots, sym, /*require_pure=*/req.for_update);
   if (!comps) return std::unique_ptr<ShardPlan>();
   return std::unique_ptr<ShardPlan>(std::make_unique<WsdtShardPlan>(
       &parent, absorb_into, req.relation, req.aux_relations,
       std::move(shards), std::move(*comps)));
-}
-
-Result<std::unique_ptr<ShardPlan>> MakeWsdShardPlan(Wsd& parent,
-                                                    const ShardRequest& req) {
-  // Update fan-outs never pay off here: absorbing a mutated slice folds
-  // its presence fields back into the parent (EliminatePresenceFields), a
-  // superlinear merge that costs far more than the one-pass delete/modify
-  // it would parallelize. Query fan-outs keep the path — they absorb into
-  // a fresh result relation, not back into the sliced one.
-  if (req.for_update) return std::unique_ptr<ShardPlan>();
-  MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* rel,
-                          parent.FindRelation(req.relation));
-  // Presence ("exists") fields make slot membership two-layered; decline
-  // and let the driver fall back to single-shard execution.
-  if (!rel->presence_attrs.empty()) return std::unique_ptr<ShardPlan>();
-  std::vector<std::vector<TupleId>> shards = PlanSlices(
-      rel->max_tuples, rel->name_sym, parent.LiveComponents(),
-      [&parent](size_t i) -> const Component& { return parent.component(i); },
-      req.max_shards);
-  if (shards.empty()) return std::unique_ptr<ShardPlan>();
-  std::optional<std::vector<std::vector<size_t>>> comps = AssignComponents(
-      shards, rel->max_tuples, rel->name_sym, parent.LiveComponents(),
-      [&parent](size_t i) -> const Component& { return parent.component(i); },
-      /*require_pure=*/req.for_update);
-  if (!comps) return std::unique_ptr<ShardPlan>();
-  return std::unique_ptr<ShardPlan>(std::make_unique<WsdShardPlan>(
-      &parent, req.relation, req.aux_relations, std::move(shards),
-      std::move(*comps)));
 }
 
 Result<std::unique_ptr<ShardPlan>> MakeUniformShardPlan(

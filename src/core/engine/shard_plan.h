@@ -7,12 +7,12 @@
 // groups into size-balanced shards, keeping group order by minimum slot id
 // so concatenating shard results reproduces the sequential slot order.
 //
-// The three factories build a ShardPlan (see world_set_ops.h for the
-// lifecycle) over each representation:
+// The two factories build a ShardPlan (see world_set_ops.h for the
+// lifecycle) over each representation that slices (the WSD and WSDT
+// sessions both hold a WSDT):
 //  - WSDT: template-row slices; components projected to the sliced
 //    relation's columns (exact marginalization — a component row keeps the
 //    joint distribution of its remaining columns).
-//  - WSD: tuple-slot slices of the component set, same projection rule.
 //  - uniform: the C/F/W store is imported once, sharded as a WSDT, and
 //    re-exported on Finish() — the same template-semantics round trip the
 //    prototype used for non-relational operators.
@@ -27,7 +27,6 @@
 #include "common/status.h"
 #include "core/engine/world_set_ops.h"
 #include "core/field.h"
-#include "core/wsd.h"
 #include "core/wsdt.h"
 #include "rel/database.h"
 
@@ -57,10 +56,6 @@ bool TemplateIsCertain(const rel::Relation& tmpl);
 Result<std::unique_ptr<ShardPlan>> MakeWsdtShardPlan(const Wsdt& parent,
                                                      Wsdt* absorb_into,
                                                      const ShardRequest& req);
-
-/// Shard plan over a WSD (relations with presence fields are declined).
-Result<std::unique_ptr<ShardPlan>> MakeWsdShardPlan(Wsd& parent,
-                                                    const ShardRequest& req);
 
 /// Shard plan over a uniform C/F/W store: imports the store as a WSDT,
 /// shards that, and re-exports the merged store on Finish().

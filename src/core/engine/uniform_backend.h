@@ -83,12 +83,6 @@ class UniformBackend : public WorldSetOps {
   Status ApplyUpdate(const rel::UpdateOp& op,
                      const std::string& guard) override;
 
-  /// Shards run under the template semantics (the store is imported as a
-  /// WSDT and re-exported on Finish), where every operator kind slices.
-  bool ShardableOperator(rel::Plan::Kind kind) const override {
-    (void)kind;
-    return true;
-  }
   Result<bool> RelationCertain(const std::string& name) const override;
   Result<std::unique_ptr<ShardPlan>> PlanShards(
       const ShardRequest& req) override;

@@ -98,12 +98,6 @@ class UrelBackend : public WorldSetOps {
                   const std::string& out, const std::string& left_attr,
                   const std::string& right_attr) override;
 
-  /// Every operator runs on tuple slices independently — descriptors
-  /// travel with their rows.
-  bool ShardableOperator(rel::Plan::Kind kind) const override {
-    (void)kind;
-    return true;
-  }
   Result<bool> RelationCertain(const std::string& name) const override;
   Result<std::unique_ptr<ShardPlan>> PlanShards(
       const ShardRequest& req) override;

@@ -129,7 +129,8 @@ class WorldSetOps {
  public:
   virtual ~WorldSetOps() = default;
 
-  /// Human-readable backend tag ("wsd", "wsdt"); used in error messages.
+  /// Human-readable backend tag ("wsdt", "uniform", "urel"); used in error
+  /// messages.
   virtual std::string_view BackendName() const = 0;
 
   // -- Catalog --------------------------------------------------------------
@@ -260,22 +261,6 @@ class WorldSetOps {
                                " backend has no native predicate selection");
   }
 
-  /// True when ProjectExists() implements projection with the "exists
-  /// column" optimization (Section 4 Discussion): the ⊥ pattern of a
-  /// projected-away column survives as an extra-schema presence field
-  /// instead of being composed into the kept components, so projections
-  /// never pay component products. The driver then routes kProject nodes
-  /// through ProjectExists().
-  virtual bool SupportsProjectExists() const { return false; }
-
-  /// out := π_attrs(src), keeping deletion patterns as presence fields.
-  virtual Status ProjectExists(const std::string& /*src*/,
-                               const std::string& /*out*/,
-                               const std::vector<std::string>& /*attrs*/) {
-    return Status::Unsupported(std::string(BackendName()) +
-                               " backend has no exists-column projection");
-  }
-
   /// True when HashJoin() implements the fused σ(×) equi-join; the driver
   /// then splits join predicates into an equality pair plus residual.
   virtual bool SupportsHashJoin() const { return false; }
@@ -295,16 +280,9 @@ class WorldSetOps {
   // The Figure 9 operators are per-relation and largely per-tuple-slot
   // independent, so a backend whose state partitions into tuple ranges
   // that share no components can evaluate a plan slice-by-slice in
-  // parallel. A backend opts in per operator kind; the driver falls back
-  // to single-shard execution when any operator in the plan is not
-  // declared shardable (e.g. the component-composing WSD Product and
-  // Difference).
-
-  /// True when plans containing this operator kind may run sharded on this
-  /// backend. Conservative default: nothing is shardable.
-  virtual bool ShardableOperator(rel::Plan::Kind /*kind*/) const {
-    return false;
-  }
+  // parallel. Every operator kind runs inside a slice; the driver decides
+  // which relation to partition (engine/parallel.h), the backend whether
+  // and how it can.
 
   /// True iff `name` is identical in every world. Shard auxiliaries must
   /// be certain so replicating them per shard cannot lose correlations.
@@ -315,8 +293,8 @@ class WorldSetOps {
 
   /// Partitions `req.relation` by tuple ranges into at most req.max_shards
   /// independent slices. Returns a null plan when the relation cannot be
-  /// partitioned (fewer than two independent tuple groups, presence
-  /// fields, or no backend support); errors only signal real failures.
+  /// partitioned (fewer than two independent tuple groups, or no backend
+  /// support); errors only signal real failures.
   virtual Result<std::unique_ptr<ShardPlan>> PlanShards(
       const ShardRequest& /*req*/) {
     return std::unique_ptr<ShardPlan>();

@@ -88,12 +88,6 @@ class WsdtBackend : public WorldSetOps {
                   const std::string& out, const std::string& left_attr,
                   const std::string& right_attr) override;
 
-  /// The template operators scan rows independently; every operator kind
-  /// runs fine inside an independent slice.
-  bool ShardableOperator(rel::Plan::Kind kind) const override {
-    (void)kind;
-    return true;
-  }
   Result<bool> RelationCertain(const std::string& name) const override;
   Result<std::unique_ptr<ShardPlan>> PlanShards(
       const ShardRequest& req) override;

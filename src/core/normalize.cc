@@ -170,23 +170,12 @@ Status RemoveInvalidTuples(Wsd& wsd) {
           invalid = true;
         }
       }
-      std::vector<FieldKey> presence = wsd.PresenceFieldsOfTuple(*rel, t);
-      for (size_t p = 0; p < presence.size() && !invalid; ++p) {
-        MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsd.Locate(presence[p]));
-        if (wsd.component(loc.comp).ColumnAllBottom(
-                static_cast<size_t>(loc.col))) {
-          invalid = true;
-        }
-      }
       if (!invalid) continue;
       for (size_t a = 0; a < schema.arity(); ++a) {
         FieldKey f(sym, t, schema.attr(a).name);
         if (wsd.HasField(f)) {
           MAYWSD_RETURN_IF_ERROR(wsd.DropField(f));
         }
-      }
-      for (const FieldKey& pf : presence) {
-        MAYWSD_RETURN_IF_ERROR(wsd.DropField(pf));
       }
     }
   }

@@ -81,10 +81,7 @@ Status Wsd::CheckComponentFields(const Component& component) const {
       return Status::InvalidArgument("component field " + f.ToString() +
                                      " tuple id out of range");
     }
-    bool is_presence =
-        std::find(rel.presence_attrs.begin(), rel.presence_attrs.end(),
-                  f.attr) != rel.presence_attrs.end();
-    if (!is_presence && !rel.schema.IndexOf(f.attr)) {
+    if (!rel.schema.IndexOf(f.attr)) {
       return Status::NotFound("component field " + f.ToString() +
                               " refers to unknown attribute");
     }
@@ -195,11 +192,8 @@ Status Wsd::CopyFieldInto(const FieldKey& src, const FieldKey& dst) {
     return Status::NotFound("destination relation of " + dst.ToString());
   }
   const WsdRelation& rel = relations_[rel_it->second];
-  bool is_presence =
-      std::find(rel.presence_attrs.begin(), rel.presence_attrs.end(),
-                dst.attr) != rel.presence_attrs.end();
   if (dst.tuple < 0 || dst.tuple >= rel.max_tuples ||
-      (!is_presence && !rel.schema.IndexOf(dst.attr))) {
+      !rel.schema.IndexOf(dst.attr)) {
     return Status::InvalidArgument("destination field out of range: " +
                                    dst.ToString());
   }
@@ -214,39 +208,6 @@ Status Wsd::CopyFieldInto(const FieldKey& src, const FieldKey& dst) {
 Status Wsd::AddCertainField(const FieldKey& dst, const rel::Value& value) {
   // Interned: every certain field of the same value shares one payload node.
   return AddComponent(Component::Certain(dst, value));
-}
-
-Status Wsd::UpdateRelationSchema(const std::string& name, rel::Schema schema) {
-  auto it = relation_by_name_.find(name);
-  if (it == relation_by_name_.end()) {
-    return Status::NotFound("relation " + name);
-  }
-  WsdRelation& rel = relations_[it->second];
-  for (const auto& [field, loc] : pool().field_index) {
-    if (field.rel != rel.name_sym || schema.IndexOf(field.attr)) continue;
-    bool is_presence =
-        std::find(rel.presence_attrs.begin(), rel.presence_attrs.end(),
-                  field.attr) != rel.presence_attrs.end();
-    if (!is_presence) {
-      return Status::InvalidArgument(
-          "field " + field.ToString() + " not covered by new schema " +
-          schema.ToString());
-    }
-  }
-  rel.schema = std::move(schema);
-  return Status::Ok();
-}
-
-Status Wsd::GrowRelation(const std::string& name, TupleId extra) {
-  auto it = relation_by_name_.find(name);
-  if (it == relation_by_name_.end()) {
-    return Status::NotFound("relation " + name);
-  }
-  if (extra < 0) {
-    return Status::InvalidArgument("negative slot growth for " + name);
-  }
-  relations_[it->second].max_tuples += extra;
-  return Status::Ok();
 }
 
 Status Wsd::ReplaceComponent(size_t index, std::vector<Component> parts) {
@@ -314,91 +275,6 @@ bool Wsd::SlotPresent(const WsdRelation& rel, TupleId tid) const {
   return FieldsOfTuple(rel, tid).size() == rel.schema.arity();
 }
 
-std::vector<FieldKey> Wsd::PresenceFieldsOfTuple(const WsdRelation& rel,
-                                                 TupleId tid) const {
-  std::vector<FieldKey> out;
-  for (Symbol attr : rel.presence_attrs) {
-    FieldKey f(rel.name_sym, tid, attr);
-    if (pool().field_index.count(f)) out.push_back(f);
-  }
-  return out;
-}
-
-Result<FieldKey> Wsd::MakePresenceField(const std::string& relation,
-                                        TupleId tid) {
-  auto it = relation_by_name_.find(relation);
-  if (it == relation_by_name_.end()) {
-    return Status::NotFound("relation " + relation);
-  }
-  WsdRelation& rel = relations_[it->second];
-  if (tid < 0 || tid >= rel.max_tuples) {
-    return Status::InvalidArgument("presence field tuple id out of range");
-  }
-  // Reuse an existing presence attribute if its field slot is free.
-  for (Symbol existing : rel.presence_attrs) {
-    if (!pool().field_index.count(FieldKey(rel.name_sym, tid, existing))) {
-      return FieldKey(rel.name_sym, tid, existing);
-    }
-  }
-  Symbol attr = InternString("__exists_" +
-                             std::to_string(rel.presence_attrs.size()) +
-                             "_" + relation);
-  rel.presence_attrs.push_back(attr);
-  return FieldKey(rel.name_sym, tid, attr);
-}
-
-Status Wsd::RenameField(const FieldKey& from, const FieldKey& to) {
-  auto it = pool().field_index.find(from);
-  if (it == pool().field_index.end()) {
-    return Status::NotFound("field " + from.ToString());
-  }
-  if (pool().field_index.count(to)) {
-    return Status::AlreadyExists("field " + to.ToString());
-  }
-  FieldLoc loc = it->second;
-  pool().components[loc.comp].RenameField(static_cast<size_t>(loc.col), to);
-  pool().field_index.erase(it);
-  pool().field_index[to] = loc;
-  return Status::Ok();
-}
-
-bool Wsd::HasPresenceFields() const {
-  for (const WsdRelation& rel : relations_) {
-    for (TupleId t = 0; t < rel.max_tuples; ++t) {
-      if (!PresenceFieldsOfTuple(rel, t).empty()) return true;
-    }
-  }
-  return false;
-}
-
-Status Wsd::EliminatePresenceFields() {
-  for (WsdRelation& rel : relations_) {
-    if (rel.presence_attrs.empty()) continue;
-    for (TupleId t = 0; t < rel.max_tuples; ++t) {
-      std::vector<FieldKey> pfs = PresenceFieldsOfTuple(rel, t);
-      if (pfs.empty()) continue;
-      if (!SlotPresent(rel, t)) {
-        return Status::Internal("presence field on removed slot");
-      }
-      FieldKey anchor(rel.name_sym, t, rel.schema.attr(0).name);
-      for (const FieldKey& pf : pfs) {
-        MAYWSD_ASSIGN_OR_RETURN(FieldLoc ploc, Locate(pf));
-        MAYWSD_ASSIGN_OR_RETURN(FieldLoc aloc, Locate(anchor));
-        if (ploc.comp != aloc.comp) {
-          MAYWSD_RETURN_IF_ERROR(
-              ComposeInPlace(static_cast<size_t>(aloc.comp),
-                             static_cast<size_t>(ploc.comp)));
-        }
-        MAYWSD_ASSIGN_OR_RETURN(aloc, Locate(anchor));
-        mutable_component(static_cast<size_t>(aloc.comp)).PropagateBottom();
-        MAYWSD_RETURN_IF_ERROR(DropField(pf));
-      }
-    }
-    rel.presence_attrs.clear();
-  }
-  return Status::Ok();
-}
-
 Status Wsd::Validate() const {
   // 1. Index consistency.
   for (const auto& [field, loc] : pool().field_index) {
@@ -435,18 +311,13 @@ Status Wsd::Validate() const {
                               std::to_string(sum));
     }
   }
-  // 3. All-or-none coverage of tuple slots; presence fields only on
-  // present slots.
+  // 3. All-or-none coverage of tuple slots.
   for (const WsdRelation& rel : relations_) {
     for (TupleId t = 0; t < rel.max_tuples; ++t) {
       size_t have = FieldsOfTuple(rel, t).size();
       if (have != 0 && have != rel.schema.arity()) {
         return Status::Internal("partial tuple slot " + rel.name + ".t" +
                                 std::to_string(t));
-      }
-      if (have == 0 && !PresenceFieldsOfTuple(rel, t).empty()) {
-        return Status::Internal("presence field on removed slot " +
-                                rel.name + ".t" + std::to_string(t));
       }
     }
   }
@@ -490,8 +361,7 @@ Result<std::vector<PossibleWorld>> Wsd::EnumerateWorlds(
   // in the inner loop.
   struct SlotInfo {
     const WsdRelation* rel;
-    std::vector<FieldLoc> locs;           // one per attribute
-    std::vector<FieldLoc> presence_locs;  // extra "exists" fields
+    std::vector<FieldLoc> locs;  // one per attribute
   };
   std::vector<SlotInfo> slots;
   for (const WsdRelation* r : mats) {
@@ -506,9 +376,6 @@ Result<std::vector<PossibleWorld>> Wsd::EnumerateWorlds(
       for (size_t a = 0; a < r->schema.arity(); ++a) {
         FieldKey f(r->name_sym, t, r->schema.attr(a).name);
         info.locs.push_back(pool().field_index.at(f));
-      }
-      for (const FieldKey& pf : PresenceFieldsOfTuple(*r, t)) {
-        info.presence_locs.push_back(pool().field_index.at(pf));
       }
       slots.push_back(std::move(info));
     }
@@ -536,17 +403,7 @@ Result<std::vector<PossibleWorld>> Wsd::EnumerateWorlds(
     for (const SlotInfo& slot : slots) {
       row.clear();
       bool has_bottom = false;
-      // A ⊥ in an "exists" field deletes the tuple just like a ⊥ in a
-      // schema field (Section 4 Discussion).
-      for (const FieldLoc& loc : slot.presence_locs) {
-        const Component& comp = pool().components[loc.comp];
-        if (comp.at(choice[comp_pos[loc.comp]], loc.col).is_bottom()) {
-          has_bottom = true;
-          break;
-        }
-      }
       for (const FieldLoc& loc : slot.locs) {
-        if (has_bottom) break;
         const Component& comp = pool().components[loc.comp];
         const rel::Value& v = comp.at(choice[comp_pos[loc.comp]], loc.col);
         if (v.is_bottom()) {

@@ -17,8 +17,12 @@
 // mutating call on either copy privatizes it wholesale. Components span
 // relations, so pool sharing is all-or-nothing — but the component payloads
 // themselves are refcounted store nodes, so even a privatized pool still
-// shares every unmutated payload. This is what makes Session::Snapshot()
-// and Session::Fork() O(relations) on the WSD backend.
+// shares every unmutated payload.
+//
+// Queries do not run on a Wsd: a kWsd api::Session adopts it as a Wsdt
+// (Wsdt::FromWsd) at the edge. The Wsd remains the Section 4 data type and
+// the oracle — chase, or-sets, normalization, world enumeration and
+// confidence all work on it.
 
 #ifndef MAYWSD_CORE_WSD_H_
 #define MAYWSD_CORE_WSD_H_
@@ -41,11 +45,6 @@ struct WsdRelation {
   Symbol name_sym = 0;
   rel::Schema schema;
   TupleId max_tuples = 0;
-  /// Extra-schema "exists" attributes (Section 4 Discussion): a presence
-  /// field (R, t, e) with a ⊥ value deletes tuple t from that world just
-  /// like a ⊥ in a schema field, letting projection drop ⊥-carrying
-  /// columns without composing components.
-  std::vector<Symbol> presence_attrs;
 };
 
 /// Location of a field: component index and column within it.
@@ -113,15 +112,6 @@ class Wsd {
   /// probability 1 (used when materializing certain fields).
   Status AddCertainField(const FieldKey& dst, const rel::Value& value);
 
-  /// Replaces the schema of a declared relation (projection shrinks it).
-  /// All remaining fields of the relation must exist in the new schema.
-  Status UpdateRelationSchema(const std::string& name, rel::Schema schema);
-
-  /// Raises |R|max by `extra` tuple slots (the new slots start empty —
-  /// absent in every world until components cover them). Used when merging
-  /// shard results slot-range by slot-range.
-  Status GrowRelation(const std::string& name, TupleId extra);
-
   /// Replaces a live component with the given components covering exactly
   /// the same fields (used by decompose-normalization).
   Status ReplaceComponent(size_t index, std::vector<Component> parts);
@@ -136,29 +126,6 @@ class Wsd {
   /// The fields of tuple slot (rel, tid) that are present in the index.
   std::vector<FieldKey> FieldsOfTuple(const WsdRelation& rel,
                                       TupleId tid) const;
-
-  /// The presence ("exists") fields of slot (rel, tid), if any.
-  std::vector<FieldKey> PresenceFieldsOfTuple(const WsdRelation& rel,
-                                              TupleId tid) const;
-
-  /// Reserves a fresh presence attribute on `relation` and returns the
-  /// field key for slot `tid` (no column is created yet — follow with
-  /// RenameField or CopyFieldInto).
-  Result<FieldKey> MakePresenceField(const std::string& relation,
-                                     TupleId tid);
-
-  /// Re-registers the column of `from` under field `to` (same component,
-  /// same values). `to` must be unregistered and declared (schema or
-  /// presence attribute).
-  Status RenameField(const FieldKey& from, const FieldKey& to);
-
-  /// Removes all presence fields by composing each into a component of its
-  /// tuple's schema fields and propagating the ⊥s (the inverse of the
-  /// exists-column optimization; restores schema-only invariants).
-  Status EliminatePresenceFields();
-
-  /// True if any relation carries presence fields.
-  bool HasPresenceFields() const;
 
   /// True if slot (rel, tid) has all its fields present.
   bool SlotPresent(const WsdRelation& rel, TupleId tid) const;

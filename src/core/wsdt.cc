@@ -330,13 +330,6 @@ Result<Wsd> Wsdt::ToWsd() const {
 }
 
 Result<Wsdt> Wsdt::FromWsd(const Wsd& wsd) {
-  if (wsd.HasPresenceFields()) {
-    // Templates encode conditional presence through ⊥s in value columns;
-    // fold the "exists" columns back in first.
-    Wsd copy = wsd;
-    MAYWSD_RETURN_IF_ERROR(copy.EliminatePresenceFields());
-    return FromWsd(copy);
-  }
   Wsdt out;
   // Tuple-slot remapping: slots invalid in every world are removed; the
   // rest are renumbered densely as template rows.
@@ -347,7 +340,12 @@ Result<Wsdt> Wsdt::FromWsd(const Wsd& wsd) {
     std::vector<rel::Value> row(rel->schema.arity());
     TupleId next = 0;
     for (TupleId t = 0; t < rel->max_tuples; ++t) {
-      if (!wsd.SlotPresent(*rel, t)) continue;
+      size_t covered = wsd.FieldsOfTuple(*rel, t).size();
+      if (covered == 0) continue;  // slot removed by normalization
+      if (covered != rel->schema.arity()) {
+        return Status::InvalidArgument("partial tuple slot " + name + ".t" +
+                                       std::to_string(t));
+      }
       bool invalid = false;
       for (size_t a = 0; a < rel->schema.arity(); ++a) {
         FieldKey f(rel->name_sym, t, rel->schema.attr(a).name);

@@ -102,7 +102,8 @@ class Wsdt {
 
   /// Conversions. ToWsd() expands template fields into singleton
   /// components; FromWsd() pulls certain fields into templates (slots that
-  /// are invalid in all worlds are removed first).
+  /// are invalid in all worlds are removed first) and rejects a tuple slot
+  /// whose fields are only partly covered (InvalidArgument).
   Result<Wsd> ToWsd() const;
   static Result<Wsdt> FromWsd(const Wsd& wsd);
 

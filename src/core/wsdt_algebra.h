@@ -8,11 +8,12 @@
 // fused into a hash join over certain-and-possible values instead of a
 // materialized product.
 //
-// Semantics are identical to the Figure 9 WSD operators (the test suite
-// checks WsdtEvaluate ≡ WsdEvaluate ≡ per-world evaluation on random
-// world-sets); conditional tuple membership is encoded by ⊥ values inside
-// components, exactly as "a placeholder with different amounts of values in
-// different worlds".
+// Semantics are those of the Figure 9 WSD operators (the test suite checks
+// WsdtEvaluate ≡ per-world evaluation on random world-sets), and these are
+// the operators every WSD-family api::Session runs — `kWsd` included;
+// conditional tuple membership is encoded by ⊥ values inside components,
+// exactly as "a placeholder with different amounts of values in different
+// worlds".
 
 #ifndef MAYWSD_CORE_WSDT_ALGEBRA_H_
 #define MAYWSD_CORE_WSDT_ALGEBRA_H_

@@ -37,28 +37,72 @@ std::optional<size_t> FirstPlaceholder(rel::TupleRef row) {
 
 }  // namespace
 
-Result<std::vector<std::vector<FieldKey>>> GuardSlotCandidates(
-    const Wsdt& wsdt, const std::string& guard_rel) {
+Result<WsdtUpdateGuard> WsdtUpdateGuard::Analyze(
+    Wsdt& wsdt, const std::string& guard_rel) {
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* tmpl_ptr,
                           wsdt.Template(guard_rel));
   const rel::Relation& tmpl = *tmpl_ptr;
+  if (tmpl.NumRows() == 0) return WsdtUpdateGuard(Mode::kNever);
   Symbol sym = InternString(guard_rel);
 
-  std::vector<std::vector<FieldKey>> rows;
-  rows.reserve(tmpl.NumRows());
+  std::vector<std::vector<FieldKey>> slots;
+  std::set<int32_t> comps;
   for (size_t r = 0; r < tmpl.NumRows(); ++r) {
     rel::TupleRef row = tmpl.row(r);
-    std::vector<FieldKey> fields;
+    std::vector<FieldKey> presence_fields;
     for (size_t a = 0; a < tmpl.arity(); ++a) {
       if (!row[a].is_question()) continue;
-      fields.emplace_back(sym, static_cast<TupleId>(r),
-                          tmpl.schema().attr(a).name);
+      FieldKey f(sym, static_cast<TupleId>(r), tmpl.schema().attr(a).name);
+      MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsdt.Locate(f));
+      if (wsdt.component(static_cast<size_t>(loc.comp))
+              .ColumnHasBottom(static_cast<size_t>(loc.col))) {
+        presence_fields.push_back(f);
+        comps.insert(loc.comp);
+      }
     }
-    // A row without placeholders stays: its empty candidate list tells the
-    // shared analysis the guard is certainly non-empty.
-    rows.push_back(std::move(fields));
+    // A row with no ⊥-carrying field exists in every world: the guard
+    // relation is certainly non-empty.
+    if (presence_fields.empty()) return WsdtUpdateGuard(Mode::kAlways);
+    slots.push_back(std::move(presence_fields));
   }
-  return rows;
+
+  WsdtUpdateGuard guard(Mode::kConditional);
+  auto it = comps.begin();
+  guard.comp_ = static_cast<size_t>(*it);
+  for (++it; it != comps.end(); ++it) {
+    MAYWSD_RETURN_IF_ERROR(
+        wsdt.ComposeInPlace(guard.comp_, static_cast<size_t>(*it)));
+  }
+  guard.slot_presence_fields_ = std::move(slots);
+  return guard;
+}
+
+Result<std::vector<bool>> WsdtUpdateGuard::Selected(const Wsdt& wsdt) const {
+  const Component& comp = wsdt.component(comp_);
+  std::vector<bool> selected(comp.NumWorlds(), false);
+  for (const std::vector<FieldKey>& fields : slot_presence_fields_) {
+    std::vector<size_t> cols;
+    for (const FieldKey& f : fields) {
+      MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsdt.Locate(f));
+      if (static_cast<size_t>(loc.comp) != comp_) {
+        return Status::Internal("guard field " + f.ToString() +
+                                " escaped the guard component");
+      }
+      cols.push_back(static_cast<size_t>(loc.col));
+    }
+    for (size_t w = 0; w < comp.NumWorlds(); ++w) {
+      if (selected[w]) continue;
+      bool present = true;
+      for (size_t c : cols) {
+        if (comp.at(w, c).is_bottom()) {
+          present = false;
+          break;
+        }
+      }
+      if (present) selected[w] = true;
+    }
+  }
+  return selected;
 }
 
 Status WsdtInsertTuples(Wsdt& wsdt, const std::string& rel,

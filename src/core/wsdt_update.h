@@ -28,21 +28,51 @@
 #include "rel/predicate.h"
 #include "rel/relation.h"
 #include "rel/update.h"
-#include "core/update_guard.h"
 #include "core/wsdt.h"
 
 namespace maywsd::core {
 
-/// UpdateGuard customization point (see core/update_guard.h): per template
-/// row of `guard_rel`, the row's '?' placeholder fields — the only cells
-/// whose component column can carry a conditional-presence ⊥ (certain
-/// template cells exist in every world).
-Result<std::vector<std::vector<FieldKey>>> GuardSlotCandidates(
-    const Wsdt& wsdt, const std::string& guard_rel);
+/// How a world condition restricts an update on a WSDT. A ⊥ in a
+/// component column marks conditional presence; only a template row's '?'
+/// placeholders can carry one (certain template cells exist in every
+/// world).
+class WsdtUpdateGuard {
+ public:
+  enum class Mode {
+    kAlways,       ///< unconditional, or the guard is non-empty in every world
+    kNever,        ///< the guard is empty in every world: the update is a no-op
+    kConditional,  ///< non-emptiness varies; `comp()` correlates it
+  };
 
-/// How a world condition restricts an update on a WSDT (see
-/// core/update_guard.h for the mode semantics and the shared analysis).
-using WsdtUpdateGuard = UpdateGuard<Wsdt>;
+  /// The unconditional guard.
+  static WsdtUpdateGuard Always() { return WsdtUpdateGuard(Mode::kAlways); }
+
+  /// Analyzes relation `guard_rel`: kAlways when some row exists in every
+  /// world, kNever when it has no rows, otherwise kConditional with all of
+  /// the relation's presence-carrying components composed into one.
+  static Result<WsdtUpdateGuard> Analyze(Wsdt& wsdt,
+                                         const std::string& guard_rel);
+
+  Mode mode() const { return mode_; }
+
+  /// The component the guard's world selection lives in (kConditional).
+  size_t comp() const { return comp_; }
+
+  /// Recomputes the per-local-world selection bitmap of comp() — one entry
+  /// per local world, true where the guard relation is non-empty. Call
+  /// after composing further components into comp() (composition changes
+  /// the local-world count).
+  Result<std::vector<bool>> Selected(const Wsdt& wsdt) const;
+
+ private:
+  explicit WsdtUpdateGuard(Mode mode) : mode_(mode) {}
+
+  Mode mode_;
+  size_t comp_ = 0;
+  /// Per guard row: the fields whose component column carried ⊥ at
+  /// analysis time (all of them live in comp()).
+  std::vector<std::vector<FieldKey>> slot_presence_fields_;
+};
 
 /// insert `tuples` into `rel` in the worlds selected by `guard`.
 Status WsdtInsertTuples(Wsdt& wsdt, const std::string& rel,

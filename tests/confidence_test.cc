@@ -4,7 +4,6 @@
 
 #include <map>
 
-#include "core/wsd_algebra.h"
 #include "core/worldset.h"
 #include "tests/test_util.h"
 
@@ -52,6 +51,14 @@ Wsd Figure4() {
   return wsd;
 }
 
+/// Figure 4 extended with out := π_attrs(R), evaluated through a kWsd
+/// Session.
+Wsd ProjectFigure4(const std::string& out,
+                   const std::vector<std::string>& attrs) {
+  rel::Plan plan = rel::Plan::Project(attrs, rel::Plan::Scan("R"));
+  return testutil::WsdWithQuery(Figure4(), plan, out).value();
+}
+
 TEST(ConfidenceTest, Figure4WorldProbability) {
   // Choosing (185,186), Smith, M=2, Brown, M=2 yields probability
   // 0.2·1·0.3·1·0.25 = 0.015 (Section 1).
@@ -72,8 +79,7 @@ TEST(ConfidenceTest, Figure4WorldProbability) {
 
 TEST(ConfidenceTest, Example11ProjectionConfidences) {
   // Q = π_S(R) on Figure 4: conf(185)=0.6, conf(186)=0.6, conf(785)=0.8.
-  Wsd wsd = Figure4();
-  ASSERT_TRUE(WsdProject(wsd, "R", "Q", {"S"}).ok());
+  Wsd wsd = ProjectFigure4("Q", {"S"});
   auto result = PossibleTuplesWithConfidence(wsd, "Q");
   ASSERT_TRUE(result.ok());
   std::map<int64_t, double> conf;
@@ -87,9 +93,8 @@ TEST(ConfidenceTest, Example11ProjectionConfidences) {
 }
 
 TEST(ConfidenceTest, CertainTuple) {
-  Wsd wsd = Figure4();
   // (Smith) is certain in π_N(R).
-  ASSERT_TRUE(WsdProject(wsd, "R", "QN", {"N"}).ok());
+  Wsd wsd = ProjectFigure4("QN", {"N"});
   std::vector<rel::Value> smith{S("Smith")};
   EXPECT_TRUE(TupleCertain(wsd, "QN", smith).value());
   std::vector<rel::Value> nope{S("Nobody")};
@@ -111,12 +116,11 @@ TEST(ConfidenceTest, ArityMismatchFails) {
 }
 
 TEST(ConfidenceTest, CertainTuplesAreTheConsistentAnswers) {
-  Wsd wsd = Figure4();
   // In R itself, names are certain per slot but full tuples are not.
-  auto certain_r = CertainTuples(wsd, "R").value();
+  auto certain_r = CertainTuples(Figure4(), "R").value();
   EXPECT_EQ(certain_r.NumRows(), 0u);
   // π_N(R) = {Smith, Brown} in every world.
-  ASSERT_TRUE(WsdProject(wsd, "R", "QN", {"N"}).ok());
+  Wsd wsd = ProjectFigure4("QN", {"N"});
   auto certain = CertainTuples(wsd, "QN").value();
   EXPECT_EQ(certain.NumRows(), 2u);
 }
@@ -174,13 +178,15 @@ TEST_P(ConfidenceProperty, PossibleMatchesEnumeration) {
 
 TEST_P(ConfidenceProperty, ConfidenceAfterQueryMatchesOracle) {
   Rng rng(GetParam() + 900);
-  Wsd wsd = testutil::RandomWsd(
+  Wsd base = testutil::RandomWsd(
       rng, {{"R", {"A", "B"}, 2, 2}}, 3, /*decompose=*/true);
   rel::Plan q = rel::Plan::Project(
       {"A"}, rel::Plan::Select(
                  rel::Predicate::Cmp("B", rel::CmpOp::kEq, I(1)),
                  rel::Plan::Scan("R")));
-  ASSERT_TRUE(WsdEvaluate(wsd, q, "OUT").ok());
+  auto wsd_or = testutil::WsdWithQuery(base, q, "OUT");
+  ASSERT_TRUE(wsd_or.ok()) << wsd_or.status();
+  const Wsd& wsd = *wsd_or;
   auto result = PossibleTuplesWithConfidence(wsd, "OUT").value();
   for (size_t i = 0; i < result.NumRows(); ++i) {
     std::vector<rel::Value> tuple{result.row(i)[0]};

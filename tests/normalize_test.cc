@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/wsd_algebra.h"
 #include "core/worldset.h"
 #include "tests/test_util.h"
 
@@ -213,8 +212,12 @@ TEST(NormalizeTest, FullPipelinePreservesRep) {
 TEST(NormalizeTest, NormalizationShrinksQueriedWsd) {
   // Example 12: normalization after a selection is a strict win.
   Rng rng(3);
-  Wsd wsd = testutil::RandomWsd(rng, {{"R", {"A", "B"}, 2, 2}}, 3);
-  ASSERT_TRUE(WsdSelectConst(wsd, "R", "P", "A", rel::CmpOp::kEq, I(0)).ok());
+  Wsd base = testutil::RandomWsd(rng, {{"R", {"A", "B"}, 2, 2}}, 3);
+  rel::Predicate a_is_0 = rel::Predicate::Cmp("A", rel::CmpOp::kEq, I(0));
+  auto wsd_or = testutil::WsdWithQuery(
+      base, rel::Plan::Select(a_is_0, rel::Plan::Scan("R")), "P");
+  ASSERT_TRUE(wsd_or.ok()) << wsd_or.status();
+  Wsd wsd = std::move(wsd_or).value();
   auto before = wsd.EnumerateWorlds(10000, {"P"}).value();
   size_t cells_before = 0;
   for (size_t i : wsd.LiveComponents()) {

@@ -6,7 +6,7 @@
 // U-relations — testutil::AllBackendKinds), across 100+ seeded iterations. Plans cover both the sharded path (single-scan
 // select/project/rename chains, products/joins/differences against a
 // certain auxiliary) and the fallback path (unions, repeated scans,
-// component-composing WSD operators).
+// uncertain right sides of a difference).
 //
 // Also here: a deterministic known-shardable case per backend (so the
 // fan-out path itself cannot silently stop being exercised), a
@@ -17,6 +17,8 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "api/session.h"
 #include "core/engine/parallel.h"
@@ -192,22 +194,30 @@ Wsdt KnownShardableWsdt() {
 TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
   // The U-relations and WSDT backends decline single-leaf plans (building
   // a shard slice costs about as much as the one pass a unary chain
-  // performs), so their known-shardable cases carry a certain join leaf.
+  // performs), so their known-shardable cases carry a certain join leaf —
+  // kWsd runs on the WSDT backend and takes the same plan. A product with
+  // a certain relation shards too, on kWsd as on every backend.
   Plan linear = Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(0)),
                              Plan::Scan("R"));
   Plan join = Plan::Join(Predicate::CmpAttr("A", CmpOp::kEq, "C"),
                          Plan::Scan("R"), Plan::Scan("S"));
+  Plan product = Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
   rel::Relation s(rel::Schema::FromNames({"C"}), "S");
   s.AppendRow({I(1)});
   s.AppendRow({I(2)});
   s.AppendRow({I(3)});
   Wsdt wsdt = KnownShardableWsdt();
 
+  std::vector<std::pair<api::BackendKind, const Plan*>> cases;
   for (api::BackendKind kind : testutil::AllBackendKinds()) {
-    const Plan& plan = (kind == api::BackendKind::kUrel ||
-                        kind == api::BackendKind::kWsdt)
-                           ? join
-                           : linear;
+    bool uniform = kind == api::BackendKind::kUniform;
+    cases.emplace_back(kind, uniform ? &linear : &join);
+  }
+  cases.emplace_back(api::BackendKind::kWsd, &product);
+
+  for (const auto& [kind, plan_ptr] : cases) {
+    const Plan& plan = *plan_ptr;
+    SCOPED_TRACE(plan.ToString());
     auto seq_or = api::Session::Open(kind, wsdt);
     auto par_or = api::Session::Open(kind, wsdt);
     ASSERT_TRUE(seq_or.ok() && par_or.ok());
@@ -222,6 +232,7 @@ TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
     // The fan-out must actually have happened — this is the guard that
     // keeps the determinism property non-vacuous.
     EXPECT_EQ(par.Stats().sharded_runs, 1u) << api::BackendKindName(kind);
+    EXPECT_EQ(par.Stats().fallback_runs, 0u) << api::BackendKindName(kind);
     EXPECT_GE(par.Stats().shards_executed, 2u) << api::BackendKindName(kind);
     EXPECT_EQ(seq.Stats().sharded_runs, 0u);
 
@@ -234,16 +245,17 @@ TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
 }
 
 TEST(ParallelSessionTest, CostGateDeclinesFanOutForSingleLeafPlans) {
-  // Cost gate (urel and wsdt): a unary select/project chain over one leaf
-  // is a single bandwidth-bound pass; building shard slices would copy
-  // the partitioned relation first, so the threaded run must take the
-  // sequential path — and still produce the same world set.
+  // Cost gate (urel and the WSDT backend behind wsd and wsdt): a unary
+  // select/project chain over one leaf is a single bandwidth-bound pass;
+  // building shard slices would copy the partitioned relation first, so
+  // the threaded run must take the sequential path — and still produce
+  // the same world set.
   Plan plan = Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(0)),
                            Plan::Scan("R"));
   Wsdt wsdt = KnownShardableWsdt();
 
-  for (api::BackendKind kind :
-       {api::BackendKind::kUrel, api::BackendKind::kWsdt}) {
+  for (api::BackendKind kind : testutil::AllBackendKinds()) {
+    if (kind == api::BackendKind::kUniform) continue;  // no cost gate
     auto seq_or = api::Session::Open(kind, wsdt);
     auto par_or = api::Session::Open(kind, wsdt);
     ASSERT_TRUE(seq_or.ok() && par_or.ok());
@@ -268,9 +280,9 @@ TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
   // Unconditional deletes/modifies fan out over the same shard slices Run
   // uses (slice once per run, mutate each slice, stream them back). The
   // world set after a threaded ApplyAll must equal the sequential one on
-  // every backend; wsdt must actually take the sharded path, while wsd
-  // (absorb folds presence fields — superlinear), uniform and urel
-  // (native one-pass updates beat the slice round trip) decline it.
+  // every backend; wsd and wsdt (both on the WSDT backend) must actually
+  // take the sharded path, while uniform and urel (native one-pass updates
+  // beat the slice round trip) decline it.
   std::vector<rel::UpdateOp> updates;
   updates.push_back(rel::UpdateOp::ModifyWhere(
       "R", Predicate::Cmp("A", CmpOp::kEq, I(1)), {{"A", I(9)}}));
@@ -289,7 +301,8 @@ TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
     ASSERT_TRUE(seq.ApplyAll(updates).ok()) << api::BackendKindName(kind);
     ASSERT_TRUE(par.ApplyAll(updates).ok()) << api::BackendKindName(kind);
 
-    bool shards_updates = kind == api::BackendKind::kWsdt;
+    bool shards_updates =
+        kind == api::BackendKind::kWsd || kind == api::BackendKind::kWsdt;
     EXPECT_EQ(par.Stats().sharded_applies, shards_updates ? 2u : 0u)
         << api::BackendKindName(kind);
     EXPECT_EQ(seq.Stats().sharded_applies, 0u);
@@ -301,31 +314,6 @@ TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
     EXPECT_TRUE(WorldSetsEquivalent(*seq_worlds, *par_worlds))
         << api::BackendKindName(kind);
   }
-}
-
-TEST(ParallelSessionTest, FallbackDeclaredForWsdProduct) {
-  // WSD declares Product non-shardable; the run must fall back (and still
-  // be correct — covered by the property above). WSDT shards the same
-  // plan.
-  Plan plan = Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
-  Wsdt wsdt = KnownShardableWsdt();
-  rel::Relation s(rel::Schema::FromNames({"C"}), "S");
-  s.AppendRow({I(9)});
-
-  auto wsd = wsdt.ToWsd();
-  ASSERT_TRUE(wsd.ok());
-  api::Session wsd_session =
-      api::Session::Open(*wsd, {.threads = 4, .cache = true});
-  ASSERT_TRUE(wsd_session.Register(s).ok());
-  ASSERT_TRUE(wsd_session.Run(plan, "OUT").ok());
-  EXPECT_EQ(wsd_session.Stats().sharded_runs, 0u);
-  EXPECT_EQ(wsd_session.Stats().fallback_runs, 1u);
-
-  api::Session wsdt_session =
-      api::Session::Open(Wsdt(wsdt), {.threads = 4, .cache = true});
-  ASSERT_TRUE(wsdt_session.Register(s).ok());
-  ASSERT_TRUE(wsdt_session.Run(plan, "OUT").ok());
-  EXPECT_EQ(wsdt_session.Stats().sharded_runs, 1u);
 }
 
 TEST(ParallelSessionTest, ThreadPoolRunsTasksAndKeepsOrder) {

@@ -1,8 +1,9 @@
 // Randomized whole-plan property tests: random relational algebra trees
-// are evaluated through (a) per-world brute force, (b) the Figure 9 WSD
-// operators, and (c) the Section 5 WSDT operators — all three must agree
-// on every seed (Theorem 1 end to end, including operator composition
-// effects like ⊥-propagation across stacked operators).
+// are evaluated through per-world brute force and the Section 5 WSDT
+// operators, which must agree on every seed (Theorem 1 end to end,
+// including operator composition effects like ⊥-propagation across
+// stacked operators); the cross-backend oracle then holds every Session
+// backend, kWsd included, to one world set.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +14,6 @@
 #include "rel/optimizer.h"
 #include "core/component_store.h"
 #include "core/engine/plan_driver.h"
-#include "core/engine/uniform_backend.h"
-#include "core/engine/urel_backend.h"
-#include "core/engine/wsd_backend.h"
-#include "core/engine/wsdt_backend.h"
-#include "core/uniform.h"
-#include "core/urel.h"
-#include "core/wsd_algebra.h"
 #include "core/wsdt_algebra.h"
 #include "core/worldset.h"
 #include "tests/test_util.h"
@@ -108,7 +102,7 @@ Plan RandomPlan(Rng& rng, int depth, std::vector<std::string>* out_attrs) {
 
 class RandomPlanProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(RandomPlanProperty, AllThreePathsAgree) {
+TEST_P(RandomPlanProperty, WsdtPathAgreesWithPerWorldOracle) {
   SeededRng rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
   MAYWSD_SEED_TRACE(rng);
   std::vector<RelSpec> specs = {RelSpec{"R", {"A", "B"}, 2, 3},
@@ -124,21 +118,10 @@ TEST_P(RandomPlanProperty, AllThreePathsAgree) {
     auto expected = EvaluatePerWorld(*worlds, plan, "OUT");
     ASSERT_TRUE(expected.ok()) << plan.ToString();
 
-    // Path (b): WSD operators.
-    Wsd wsd_copy = wsd;
-    Status st = WsdEvaluate(wsd_copy, plan, "OUT");
-    ASSERT_TRUE(st.ok()) << plan.ToString() << ": " << st;
-    auto wsd_out = wsd_copy.EnumerateWorlds(4000000, {"OUT"});
-    ASSERT_TRUE(wsd_out.ok()) << plan.ToString();
-    EXPECT_TRUE(WorldSetsEquivalent(*expected, *wsd_out))
-        << "WSD path disagrees on " << plan.ToString() << " seed "
-        << GetParam();
-
-    // Path (c): WSDT operators.
     auto wsdt_or = Wsdt::FromWsd(wsd);
     ASSERT_TRUE(wsdt_or.ok());
     Wsdt wsdt = std::move(wsdt_or).value();
-    st = WsdtEvaluate(wsdt, plan, "OUT");
+    Status st = WsdtEvaluate(wsdt, plan, "OUT");
     ASSERT_TRUE(st.ok()) << plan.ToString() << ": " << st;
     ASSERT_TRUE(wsdt.Validate().ok()) << plan.ToString();
     auto wsdt_out =
@@ -154,9 +137,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPlanProperty, ::testing::Range(0, 20));
 
 // Cross-backend equivalence oracle: the SAME engine driver
 // (core/engine/plan_driver.h) runs the SAME random plan over every
-// enrolled backend (testutil::AllBackendKinds — Wsd, Wsdt, the C/F/W
-// uniform store, and the columnar U-relations store); all must produce
-// identical world-sets, both on the plain plan and after the Section 5
+// enrolled backend (testutil::AllBackendKinds — Wsd adopted as a Wsdt,
+// Wsdt, the C/F/W uniform store, and the columnar U-relations store),
+// each opened as an api::Session; all must produce the per-world
+// reference world set, both on the plain plan and after the Section 5
 // logical optimizations (which reshape the plan into joins some backends
 // execute natively and others lower to product + selections).
 class CrossBackendProperty : public ::testing::TestWithParam<int> {};
@@ -175,102 +159,39 @@ TEST_P(CrossBackendProperty, UnifiedDriverAgreesOnAllBackends) {
     Wsd wsd = testutil::RandomWsd(rng, specs, 3);
     std::vector<std::string> attrs;
     Plan plan = RandomPlan(rng, 2, &attrs);
+    auto worlds = wsd.EnumerateWorlds(100000);
+    ASSERT_TRUE(worlds.ok());
+    auto expected = EvaluatePerWorld(*worlds, plan, "OUT");
+    ASSERT_TRUE(expected.ok()) << plan.ToString();
 
     for (bool optimized : {false, true}) {
-      // The first enrolled backend's answer is the reference the rest are
-      // compared against.
-      std::vector<PossibleWorld> reference;
-      bool have_reference = false;
       for (api::BackendKind kind : testutil::AllBackendKinds()) {
         SCOPED_TRACE(::testing::Message()
                      << "backend " << api::BackendKindName(kind)
                      << (optimized ? " (optimized)" : " (plain)"));
-        // Per-kind store + backend; only the pair for `kind` is used.
-        Wsd wsd_store;
-        Wsdt wsdt_store;
-        rel::Database udb_store;
-        Urel urel_store;
-        std::unique_ptr<engine::WorldSetOps> backend;
-        switch (kind) {
-          case api::BackendKind::kWsd:
-            wsd_store = wsd;
-            backend = std::make_unique<engine::WsdBackend>(wsd_store);
-            break;
-          case api::BackendKind::kWsdt: {
-            auto wsdt_or = Wsdt::FromWsd(wsd);
-            ASSERT_TRUE(wsdt_or.ok());
-            wsdt_store = std::move(wsdt_or).value();
-            backend = std::make_unique<engine::WsdtBackend>(wsdt_store);
-            break;
-          }
-          case api::BackendKind::kUniform: {
-            auto udb_or = ExportUniform(Wsdt::FromWsd(wsd).value());
-            ASSERT_TRUE(udb_or.ok());
-            udb_store = std::move(udb_or).value();
-            backend = std::make_unique<engine::UniformBackend>(udb_store);
-            break;
-          }
-          case api::BackendKind::kUrel: {
-            auto urel_or = ExportUrel(Wsdt::FromWsd(wsd).value());
-            ASSERT_TRUE(urel_or.ok());
-            urel_store = std::move(urel_or).value();
-            backend = std::make_unique<engine::UrelBackend>(urel_store);
-            break;
-          }
-        }
-        ASSERT_NE(backend, nullptr);
+        auto session_or = testutil::OpenSessionOver(kind, wsd);
+        ASSERT_TRUE(session_or.ok()) << session_or.status();
+        api::Session session = std::move(session_or).value();
+        engine::WorldSetOps& backend = session.ops();
 
-        Status st = optimized ? engine::EvaluateOptimized(*backend, plan,
-                                                          "OUT")
-                              : engine::Evaluate(*backend, plan, "OUT");
+        Status st = optimized ? engine::EvaluateOptimized(backend, plan, "OUT")
+                              : engine::Evaluate(backend, plan, "OUT");
         ASSERT_TRUE(st.ok()) << plan.ToString() << ": " << st;
 
         // Representation integrity after the whole plan ran.
-        Status valid;
-        Result<std::vector<PossibleWorld>> out =
-            Status::Internal("unset");
-        switch (kind) {
-          case api::BackendKind::kWsd:
-            valid = wsd_store.Validate();
-            out = wsd_store.EnumerateWorlds(4000000, {"OUT"});
-            break;
-          case api::BackendKind::kWsdt:
-            valid = wsdt_store.Validate();
-            out = wsdt_store.ToWsd().value().EnumerateWorlds(4000000,
-                                                             {"OUT"});
-            break;
-          case api::BackendKind::kUniform: {
-            valid = ValidateUniform(udb_store);
-            auto back = ImportUniform(udb_store);
-            ASSERT_TRUE(back.ok()) << plan.ToString() << ": "
-                                   << back.status();
-            out = back->ToWsd().value().EnumerateWorlds(4000000, {"OUT"});
-            break;
-          }
-          case api::BackendKind::kUrel: {
-            valid = ValidateUrel(urel_store);
-            auto back = ImportUrel(urel_store);
-            ASSERT_TRUE(back.ok()) << plan.ToString() << ": "
-                                   << back.status();
-            out = back->ToWsd().value().EnumerateWorlds(4000000, {"OUT"});
-            break;
-          }
-        }
+        Status valid = testutil::ValidateSession(session);
         ASSERT_TRUE(valid.ok()) << plan.ToString() << ": " << valid;
-        ASSERT_TRUE(out.ok()) << plan.ToString();
+        Result<std::vector<PossibleWorld>> out =
+            testutil::SessionWorlds(session, 4000000, {"OUT"});
+        ASSERT_TRUE(out.ok()) << plan.ToString() << ": " << out.status();
 
-        if (!have_reference) {
-          reference = std::move(out).value();
-          have_reference = true;
-        } else {
-          EXPECT_TRUE(WorldSetsEquivalent(reference, *out))
-              << "backends disagree on " << plan.ToString() << " seed "
-              << GetParam();
-        }
+        EXPECT_TRUE(WorldSetsEquivalent(*expected, *out))
+            << "backend disagrees with the per-world reference on "
+            << plan.ToString() << " seed " << GetParam();
 
         // The scratch-relation lifecycle must not leak intermediates into
         // any representation.
-        for (const std::string& name : backend->RelationNames()) {
+        for (const std::string& name : backend.RelationNames()) {
           EXPECT_NE(name.rfind("__eng_tmp", 0), 0u)
               << "leaked scratch relation " << name;
         }

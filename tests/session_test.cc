@@ -42,15 +42,15 @@ TEST(SessionTest, KindAndRepresentationAccess) {
   for (const Session& s : sessions) {
     EXPECT_EQ(s.BackendName(), BackendKindName(s.kind()));
   }
-  EXPECT_NE(sessions[0].wsd(), nullptr);
-  EXPECT_EQ(sessions[0].wsdt(), nullptr);
+  // A kWsd session adopts its decomposition as a WSDT at the edge.
+  EXPECT_NE(sessions[0].wsdt(), nullptr);
   EXPECT_EQ(sessions[0].uniform(), nullptr);
   EXPECT_EQ(sessions[0].urel(), nullptr);
   EXPECT_NE(sessions[1].wsdt(), nullptr);
   EXPECT_NE(sessions[2].uniform(), nullptr);
-  EXPECT_EQ(sessions[2].wsd(), nullptr);
+  EXPECT_EQ(sessions[2].wsdt(), nullptr);
   EXPECT_NE(sessions[3].urel(), nullptr);
-  EXPECT_EQ(sessions[3].wsd(), nullptr);
+  EXPECT_EQ(sessions[3].wsdt(), nullptr);
 }
 
 TEST(SessionTest, ParseBackendKindRoundTripsAndRejects) {
@@ -74,7 +74,9 @@ TEST(SessionTest, OpenByKindStartsEmpty) {
 TEST(SessionTest, OpenAdoptsExistingRepresentations) {
   // The adopt-existing overloads must open the matching backend kind
   // (the old Over* factory shims promised this; Open(repr) carries it).
-  EXPECT_EQ(Session::Open(Wsd()).kind(), BackendKind::kWsd);
+  auto adopted_wsd = Session::Open(Wsd());
+  ASSERT_TRUE(adopted_wsd.ok());
+  EXPECT_EQ(adopted_wsd->kind(), BackendKind::kWsd);
   EXPECT_EQ(Session::Open(Wsdt()).kind(), BackendKind::kWsdt);
   EXPECT_EQ(Session::Open(rel::Database()).kind(), BackendKind::kUniform);
   EXPECT_EQ(Session::Open(core::Urel()).kind(), BackendKind::kUrel);
@@ -83,6 +85,15 @@ TEST(SessionTest, OpenAdoptsExistingRepresentations) {
     ASSERT_TRUE(converted.ok()) << BackendKindName(kind);
     EXPECT_EQ(converted->kind(), kind);
   }
+  // A malformed decomposition is rejected at the edge as an error, never
+  // an abort: slot R.t0 covers A but not B.
+  Wsd partial;
+  ASSERT_TRUE(
+      partial.AddRelation("R", rel::Schema::FromNames({"A", "B"}), 1).ok());
+  ASSERT_TRUE(partial.AddCertainField(core::FieldKey("R", 0, "A"), I(1)).ok());
+  ASSERT_FALSE(partial.Validate().ok());
+  auto rejected = Session::Open(partial);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SessionTest, SnapshotPinsAViewAcrossApplies) {

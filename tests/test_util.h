@@ -115,10 +115,21 @@ inline Result<api::Session> OpenSessionOver(api::BackendKind kind,
                                             const core::Wsd& wsd,
                                             api::SessionOptions options = {}) {
   if (kind == api::BackendKind::kWsd) {
-    return api::Session::Open(core::Wsd(wsd), options);
+    return api::Session::Open(wsd, options);
   }
   MAYWSD_ASSIGN_OR_RETURN(core::Wsdt wsdt, core::Wsdt::FromWsd(wsd));
   return api::Session::Open(kind, wsdt, options);
+}
+
+/// Evaluates `plan` into relation `out` through a kWsd Session over (a
+/// copy of) `wsd` and returns the resulting decomposition: how tests of
+/// the Section 4 tooling (confidence, normalization) build queried inputs.
+inline Result<core::Wsd> WsdWithQuery(const core::Wsd& wsd,
+                                      const rel::Plan& plan,
+                                      const std::string& out) {
+  MAYWSD_ASSIGN_OR_RETURN(api::Session session, api::Session::Open(wsd));
+  MAYWSD_RETURN_IF_ERROR(session.Run(plan, out));
+  return session.wsdt()->ToWsd();
 }
 
 /// Enumerates the session's world set (restricted to `rels` when non-empty)
@@ -128,7 +139,6 @@ inline Result<std::vector<core::PossibleWorld>> SessionWorlds(
     const std::vector<std::string>& rels = {}) {
   switch (session.kind()) {
     case api::BackendKind::kWsd:
-      return session.wsd()->EnumerateWorlds(cap, rels);
     case api::BackendKind::kWsdt: {
       MAYWSD_ASSIGN_OR_RETURN(core::Wsd w, session.wsdt()->ToWsd());
       return w.EnumerateWorlds(cap, rels);
@@ -153,7 +163,6 @@ inline Result<std::vector<core::PossibleWorld>> SessionWorlds(
 inline Status ValidateSession(const api::Session& session) {
   switch (session.kind()) {
     case api::BackendKind::kWsd:
-      return session.wsd()->Validate();
     case api::BackendKind::kWsdt:
       return session.wsdt()->Validate();
     case api::BackendKind::kUniform:

@@ -15,13 +15,7 @@
 
 #include "api/session.h"
 #include "core/component_store.h"
-#include "core/engine/uniform_backend.h"
 #include "core/engine/update_plan.h"
-#include "core/engine/urel_backend.h"
-#include "core/engine/wsd_backend.h"
-#include "core/engine/wsdt_backend.h"
-#include "core/uniform.h"
-#include "core/urel.h"
 #include "core/worldset.h"
 #include "rel/update.h"
 #include "tests/test_util.h"
@@ -140,65 +134,30 @@ TEST(UpdateOpTest, OneWorldReferenceSemantics) {
 
 // -- Backend fixtures ---------------------------------------------------------
 
+/// One enrolled backend: a Session over (a copy of) the test world set —
+/// the wsd entry adopts its Wsd at the Session edge — driven through its
+/// engine backend directly.
 struct BackendUnderTest {
   std::string name;
-  std::unique_ptr<Wsd> wsd;
-  std::unique_ptr<Wsdt> wsdt;
-  std::unique_ptr<rel::Database> udb;
-  std::unique_ptr<Urel> urel;
-  std::unique_ptr<engine::WorldSetOps> ops;
+  std::unique_ptr<api::Session> session;
+  engine::WorldSetOps* ops = nullptr;
 
-  Status Validate() const {
-    if (wsd) return wsd->Validate();
-    if (wsdt) return wsdt->Validate();
-    if (udb) return ValidateUniform(*udb);
-    return ValidateUrel(*urel);
-  }
+  Status Validate() const { return testutil::ValidateSession(*session); }
 
   Result<std::vector<PossibleWorld>> Expand(
       const std::vector<std::string>& relations) const {
-    if (wsd) return wsd->EnumerateWorlds(4000000, relations);
-    if (wsdt) {
-      MAYWSD_ASSIGN_OR_RETURN(Wsd w, wsdt->ToWsd());
-      return w.EnumerateWorlds(4000000, relations);
-    }
-    Result<Wsdt> t = udb ? ImportUniform(*udb) : ImportUrel(*urel);
-    MAYWSD_RETURN_IF_ERROR(t.status());
-    MAYWSD_ASSIGN_OR_RETURN(Wsd w, t->ToWsd());
-    return w.EnumerateWorlds(4000000, relations);
+    return testutil::SessionWorlds(*session, 4000000, relations);
   }
 };
 
 std::vector<BackendUnderTest> MakeBackends(const Wsd& wsd) {
   std::vector<BackendUnderTest> out;
-  {
+  for (api::BackendKind kind : testutil::AllBackendKinds()) {
     BackendUnderTest b;
-    b.name = "wsd";
-    b.wsd = std::make_unique<Wsd>(wsd);
-    b.ops = std::make_unique<engine::WsdBackend>(*b.wsd);
-    out.push_back(std::move(b));
-  }
-  {
-    BackendUnderTest b;
-    b.name = "wsdt";
-    b.wsdt = std::make_unique<Wsdt>(Wsdt::FromWsd(wsd).value());
-    b.ops = std::make_unique<engine::WsdtBackend>(*b.wsdt);
-    out.push_back(std::move(b));
-  }
-  {
-    BackendUnderTest b;
-    b.name = "uniform";
-    b.udb = std::make_unique<rel::Database>(
-        ExportUniform(Wsdt::FromWsd(wsd).value()).value());
-    b.ops = std::make_unique<engine::UniformBackend>(*b.udb);
-    out.push_back(std::move(b));
-  }
-  {
-    BackendUnderTest b;
-    b.name = "urel";
-    b.urel = std::make_unique<Urel>(
-        ExportUrel(Wsdt::FromWsd(wsd).value()).value());
-    b.ops = std::make_unique<engine::UrelBackend>(*b.urel);
+    b.name = std::string(api::BackendKindName(kind));
+    b.session = std::make_unique<api::Session>(
+        testutil::OpenSessionOver(kind, wsd).value());
+    b.ops = &b.session->ops();
     out.push_back(std::move(b));
   }
   return out;

@@ -1,9 +1,13 @@
-#include "core/wsd_algebra.h"
+// The Figure 9 goldens (Figures 10–15) and per-operator oracles of the
+// Section 4 algebra. A kWsd api::Session adopts the decomposition at its
+// edge and runs every plan on the WSDT operators; each result is checked
+// against per-world evaluation (Theorem 1).
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "api/session.h"
 #include "core/engine/plan_driver.h"
 #include "core/normalize.h"
 #include "core/worldset.h"
@@ -56,18 +60,36 @@ Wsd Figure10() {
   return wsd;
 }
 
-/// Runs plan through both the per-world oracle and the WSD operators and
+/// Evaluates `plan` into relation P through a kWsd Session over `wsd`;
+/// returns the session (for structural checks) after validating it.
+api::Session RunOverWsd(const Wsd& wsd, const Plan& plan) {
+  auto session = api::Session::Open(wsd);
+  EXPECT_TRUE(session.ok()) << session.status();
+  Status st = session->Run(plan, "P");
+  EXPECT_TRUE(st.ok()) << plan.ToString() << ": " << st;
+  EXPECT_TRUE(testutil::ValidateSession(*session).ok()) << plan.ToString();
+  return std::move(session).value();
+}
+
+/// The distinct worlds of relation P after RunOverWsd.
+std::vector<PossibleWorld> WorldsOfP(const api::Session& session) {
+  return CollapseWorlds(testutil::SessionWorlds(session, 1000, {"P"}).value());
+}
+
+/// Runs plan through both the per-world oracle and a kWsd Session and
 /// checks Theorem 1: rep(Q̂(W))|result = {Q(A) | A ∈ rep(W)}.
-void ExpectOracleEquivalent(Wsd wsd, const Plan& plan,
+void ExpectOracleEquivalent(const Wsd& wsd, const Plan& plan,
                             const char* label = "") {
   auto worlds = wsd.EnumerateWorlds(100000);
   ASSERT_TRUE(worlds.ok()) << label;
   auto expected = EvaluatePerWorld(*worlds, plan, "OUT");
   ASSERT_TRUE(expected.ok()) << label;
-  Status st = WsdEvaluate(wsd, plan, "OUT");
+  auto session = api::Session::Open(wsd);
+  ASSERT_TRUE(session.ok()) << label << ": " << session.status();
+  Status st = session->Run(plan, "OUT");
   ASSERT_TRUE(st.ok()) << label << ": " << st;
-  ASSERT_TRUE(wsd.Validate().ok()) << label;
-  auto actual = wsd.EnumerateWorlds(1000000, {"OUT"});
+  ASSERT_TRUE(testutil::ValidateSession(*session).ok()) << label;
+  auto actual = testutil::SessionWorlds(*session, 1000000, {"OUT"});
   ASSERT_TRUE(actual.ok()) << label;
   EXPECT_TRUE(WorldSetsEquivalent(*expected, *actual)) << label;
 }
@@ -81,10 +103,9 @@ TEST(WsdAlgebraGolden, Figure10Has8Worlds) {
 
 TEST(WsdAlgebraGolden, Figure11aSelectCEq7) {
   // P := σ_{C=7}(R): worlds of different sizes (t1 deleted where C=0).
-  Wsd wsd = Figure10();
-  ASSERT_TRUE(WsdSelectConst(wsd, "R", "P", "C", CmpOp::kEq, I(7)).ok());
-  ASSERT_TRUE(wsd.Validate().ok());
-  auto worlds = CollapseWorlds(wsd.EnumerateWorlds(1000, {"P"}).value());
+  Plan plan =
+      Plan::Select(Predicate::Cmp("C", CmpOp::kEq, I(7)), Plan::Scan("R"));
+  auto worlds = WorldsOfP(RunOverWsd(Figure10(), plan));
   // P is {(6,6,7)} in half the worlds and {(A,2,7),(6,6,7)} with A ∈ {1,2}
   // in the others: three distinct results.
   ASSERT_EQ(worlds.size(), 3u);
@@ -93,10 +114,7 @@ TEST(WsdAlgebraGolden, Figure11aSelectCEq7) {
     std::vector<rel::Value> anchor{I(6), I(6), I(7)};
     EXPECT_TRUE(p->ContainsRow(anchor));
   }
-  ExpectOracleEquivalent(
-      Figure10(),
-      Plan::Select(Predicate::Cmp("C", CmpOp::kEq, I(7)), Plan::Scan("R")),
-      "Fig11a");
+  ExpectOracleEquivalent(Figure10(), plan, "Fig11a");
 }
 
 TEST(WsdAlgebraGolden, Figure11bSelectBEq1) {
@@ -109,10 +127,9 @@ TEST(WsdAlgebraGolden, Figure11bSelectBEq1) {
 TEST(WsdAlgebraGolden, Figure13SelectAEqB) {
   // σ_{A=B}(R) represents five worlds: one with three tuples, three with
   // two, one with one (Example 8).
-  Wsd wsd = Figure10();
-  ASSERT_TRUE(WsdSelectAttrAttr(wsd, "R", "P", "A", CmpOp::kEq, "B").ok());
-  ASSERT_TRUE(wsd.Validate().ok());
-  auto worlds = CollapseWorlds(wsd.EnumerateWorlds(1000, {"P"}).value());
+  Plan plan =
+      Plan::Select(Predicate::CmpAttr("A", CmpOp::kEq, "B"), Plan::Scan("R"));
+  auto worlds = WorldsOfP(RunOverWsd(Figure10(), plan));
   ASSERT_EQ(worlds.size(), 5u);
   std::multiset<size_t> sizes;
   for (const auto& w : worlds) {
@@ -121,10 +138,7 @@ TEST(WsdAlgebraGolden, Figure13SelectAEqB) {
   EXPECT_EQ(sizes.count(3), 1u);
   EXPECT_EQ(sizes.count(2), 3u);
   EXPECT_EQ(sizes.count(1), 1u);
-  ExpectOracleEquivalent(
-      Figure10(),
-      Plan::Select(Predicate::CmpAttr("A", CmpOp::kEq, "B"), Plan::Scan("R")),
-      "Fig13");
+  ExpectOracleEquivalent(Figure10(), plan, "Fig13");
 }
 
 TEST(WsdAlgebraGolden, Figure14Product) {
@@ -170,14 +184,11 @@ TEST(WsdAlgebraGolden, Figure14Product) {
     c.AddWorld({testutil::S("h")}, 0.5);
     ASSERT_TRUE(wsd.AddComponent(std::move(c)).ok());
   }
-  ExpectOracleEquivalent(wsd,
-                         Plan::Product(Plan::Scan("R"), Plan::Scan("S")),
-                         "Fig14");
+  Plan plan = Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
+  ExpectOracleEquivalent(wsd, plan, "Fig14");
   // The product does not inflate the number of components (values are
   // copied into existing ones).
-  Wsd wsd2 = wsd;
-  ASSERT_TRUE(WsdProduct(wsd2, "R", "S", "T").ok());
-  EXPECT_EQ(wsd2.NumLiveComponents(), 6u);
+  EXPECT_EQ(RunOverWsd(wsd, plan).wsdt()->LiveComponents().size(), 6u);
 }
 
 TEST(WsdAlgebraGolden, Figure15Projection) {
@@ -202,16 +213,13 @@ TEST(WsdAlgebraGolden, Figure15Projection) {
     c.AddWorld({testutil::Bot(), testutil::S("d")}, 0.5);
     ASSERT_TRUE(wsd.AddComponent(std::move(c)).ok());
   }
-  Wsd copy = wsd;
-  ASSERT_TRUE(WsdProject(copy, "R", "P", {"A"}).ok());
-  ASSERT_TRUE(copy.Validate().ok());
-  auto worlds = CollapseWorlds(copy.EnumerateWorlds(100, {"P"}).value());
+  Plan plan = Plan::Project({"A"}, Plan::Scan("R"));
+  auto worlds = WorldsOfP(RunOverWsd(wsd, plan));
   ASSERT_EQ(worlds.size(), 2u);
   for (const auto& w : worlds) {
     EXPECT_EQ(w.db.GetRelation("P").value()->NumRows(), 1u);
   }
-  ExpectOracleEquivalent(wsd, Plan::Project({"A"}, Plan::Scan("R")),
-                         "Fig15");
+  ExpectOracleEquivalent(wsd, plan, "Fig15");
 }
 
 TEST(WsdAlgebraGolden, UnionAndDifferenceOnFigure10) {

@@ -186,21 +186,6 @@ TEST(WsdTest, ValidatePartialSlotFails) {
   EXPECT_EQ(wsd.Validate().code(), StatusCode::kInternal);
 }
 
-TEST(WsdTest, UpdateRelationSchemaChecksCoverage) {
-  Wsd wsd = IntroWsd();
-  // Shrinking to S,N while M fields exist must fail.
-  EXPECT_EQ(
-      wsd.UpdateRelationSchema("R", rel::Schema::FromNames({"S", "N"}))
-          .code(),
-      StatusCode::kInvalidArgument);
-  // After dropping the M fields it succeeds.
-  ASSERT_TRUE(wsd.DropField(FieldKey("R", 0, "M")).ok());
-  ASSERT_TRUE(wsd.DropField(FieldKey("R", 1, "M")).ok());
-  EXPECT_TRUE(
-      wsd.UpdateRelationSchema("R", rel::Schema::FromNames({"S", "N"})).ok());
-  EXPECT_TRUE(wsd.Validate().ok());
-}
-
 TEST(WsdTest, ReplaceComponentChecksFieldSet) {
   Wsd wsd = IntroWsd();
   FieldLoc loc = wsd.Locate(FieldKey("R", 0, "S")).value();
