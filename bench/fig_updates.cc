@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   // the wsd session runs on the same WSDT backend (adopted at the Session
   // edge), so it stays at the smallest tick rather than repeat the wsdt
   // cells.
-  // The urel cell runs unconditional updates natively on the columnar
-  // store and pays the one-round-trip fallback only for cond-modify.
+  // The urel cell runs every update natively on the columnar store,
+  // cond-modify included (its guard splits the affected descriptors).
   std::vector<size_t> ticks = bench::SizeTicks();
   struct Cell {
     const char* backend;

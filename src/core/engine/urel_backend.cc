@@ -132,19 +132,10 @@ Result<bool> UrelBackend::TupleCertain(const std::string& relation,
 
 Status UrelBackend::ApplyUpdate(const rel::UpdateOp& op,
                                 const std::string& guard) {
-  if (guard.empty()) {
-    switch (op.kind()) {
-      case rel::UpdateOp::Kind::kInsert:
-        return UrelInsert(*urel_, op.relation(), op.tuples());
-      case rel::UpdateOp::Kind::kDelete:
-        return UrelDeleteWhere(*urel_, op.relation(), op.predicate());
-      case rel::UpdateOp::Kind::kModify:
-        return UrelModifyWhere(*urel_, op.relation(), op.predicate(),
-                               op.assignments());
-    }
-  }
-  // World-conditional mutations compose with the guard's variables: one
-  // import → WSDT update → export round trip, like the uniform backend.
+  Status st = UrelApplyUpdate(*urel_, op, guard);
+  if (st.code() != StatusCode::kUnsupported) return st;
+  // The guard's assignment expansion blew the cap and left the store
+  // untouched: apply the update in the template semantics.
   return Fallback(
       [&](Wsdt& wsdt) { return WsdtApplyUpdate(wsdt, op, guard); });
 }

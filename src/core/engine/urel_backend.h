@@ -3,14 +3,15 @@
 //
 // The whole positive fragment — copy, selections (arbitrary predicate
 // trees in one vectorized pass), product, the fused σ(×) hash join,
-// union, projection, rename — plus the unconditional update fragment and
-// the Section 6 answer surface run natively against the columnar store:
-// zero import/export round trips, the property the uniform C/F/W encoding
-// pays for whenever it leaves the purely relational fragment. Only two
-// operations can leave the representation: a difference whose assignment
-// expansion exceeds the internal cap, and world-conditional updates; both
-// take the established one-round-trip template-semantics fallback
-// (ImportUrel → WSDT → ExportUrel), counted by RoundTrips().
+// union, projection, rename — plus difference, the update fragment
+// (world-conditional updates included) and the Section 6 answer surface
+// run natively against the columnar store: zero import/export round
+// trips, the property the uniform C/F/W encoding pays for whenever it
+// leaves the purely relational fragment. Only an assignment expansion
+// past the internal cap — in a difference or under a guarded update's
+// world condition — leaves the representation; it takes the established
+// one-round-trip template-semantics fallback (ImportUrel → WSDT →
+// ExportUrel), counted by RoundTrips().
 
 #ifndef MAYWSD_CORE_ENGINE_UREL_BACKEND_H_
 #define MAYWSD_CORE_ENGINE_UREL_BACKEND_H_
@@ -82,9 +83,10 @@ class UrelBackend : public WorldSetOps {
   Result<bool> TupleCertain(const std::string& relation,
                             std::span<const rel::Value> tuple) const override;
 
-  /// Unconditional inserts/deletes/modifies are pure row rewritings (a
-  /// U-relation has no '?' cells, so every predicate decides natively);
-  /// world-conditional updates compose with the guard's variables and take
+  /// Inserts/deletes/modifies are pure row rewritings (a U-relation has no
+  /// '?' cells, so every predicate decides natively); a world condition
+  /// conjoins the guard's descriptors, or their complement, onto the
+  /// affected rows (UrelApplyUpdate). Only an expansion past the cap takes
   /// one import → WSDT update → export round trip.
   Status ApplyUpdate(const rel::UpdateOp& op,
                      const std::string& guard) override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -158,49 +159,173 @@ bool DescriptorSatisfied(std::span<const UrelDescEntry> desc,
   return true;
 }
 
-/// P(⋃ descs): enumerates the joint assignments of the involved variables
-/// only. kUnsupported past the cap.
-Result<double> DescriptorUnionProbability(
-    const Urel& u, const std::vector<std::span<const UrelDescEntry>>& descs) {
-  if (descs.empty()) return 0.0;
-  std::vector<VarId> vars;
-  for (const auto& d : descs) {
-    if (d.empty()) return 1.0;  // a certain duplicate dominates the union
-    for (const UrelDescEntry& e : d) vars.push_back(e.var);
-  }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+/// Partitions the worlds a canonical descriptor `base` selects by G, the
+/// union of the `cover` descriptors: calls emit(cell, covered) once per
+/// cell, where the cells are canonical descriptors extending `base` that
+/// are pairwise disjoint and together select exactly base's worlds, and G
+/// holds in every world of a cell when `covered` (in none otherwise). A
+/// cell equal to `base` means base was not split.
+///
+/// Only the variables of cover descriptors compatible with `base` that
+/// `base` leaves free are expanded, one at a time in variable order, and a
+/// branch stops as soon as G is decided on it. kUnsupported, before any
+/// emit, when those free variables' joint assignments exceed the cap.
+template <typename Emit>
+class CoverSplit {
+ public:
+  CoverSplit(const Urel& u, std::span<const UrelDescEntry> base, Emit& emit)
+      : u_(u), base_(base), emit_(emit) {}
 
-  uint64_t total = 1;
-  for (VarId v : vars) {
-    total *= u.Domain(v).size();
-    if (total > kAssignmentCap) {
-      return Status::Unsupported("descriptor union over " +
-                                 std::to_string(vars.size()) +
-                                 " variables exceeds the assignment cap");
-    }
-  }
-  std::vector<uint32_t> assignment(vars.size(), 0);
-  double prob_union = 0.0;
-  for (uint64_t w = 0; w < total; ++w) {
-    double p = 1.0;
-    for (size_t k = 0; k < vars.size(); ++k) {
-      p *= u.Domain(vars[k])[assignment[k]];
-    }
-    if (p > 0) {
-      for (const auto& d : descs) {
-        if (DescriptorSatisfied(d, vars, assignment)) {
-          prob_union += p;
+  Status Run(std::span<const std::span<const UrelDescEntry>> cover) {
+    // Residuals: each compatible cover descriptor minus the entries base
+    // already fixes.
+    std::vector<Cursor> active;
+    for (std::span<const UrelDescEntry> d : cover) {
+      const uint32_t start = static_cast<uint32_t>(residuals_.size());
+      bool compatible = true;
+      size_t j = 0;
+      for (const UrelDescEntry& e : d) {
+        while (j < base_.size() && base_[j].var < e.var) ++j;
+        if (j == base_.size() || base_[j].var != e.var) {
+          residuals_.push_back(e);
+        } else if (base_[j].world != e.world) {
+          compatible = false;
           break;
         }
       }
+      const uint32_t end = static_cast<uint32_t>(residuals_.size());
+      if (!compatible) {
+        residuals_.resize(start);
+      } else if (start == end) {
+        emit_(base_, true);  // G holds throughout base
+        return Status::Ok();
+      } else {
+        active.push_back(Cursor{start, end});
+      }
     }
-    // Odometer: last variable fastest.
-    for (size_t k = vars.size(); k-- > 0;) {
-      if (++assignment[k] < u.Domain(vars[k]).size()) break;
-      assignment[k] = 0;
+    if (active.empty()) {
+      emit_(base_, false);
+      return Status::Ok();
+    }
+
+    std::vector<VarId> vars;
+    vars.reserve(residuals_.size());
+    for (const UrelDescEntry& e : residuals_) vars.push_back(e.var);
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    uint64_t combos = 1;
+    for (VarId v : vars) {
+      combos *= u_.Domain(v).size();
+      if (combos > kAssignmentCap) {
+        return Status::Unsupported("expansion over " +
+                                   std::to_string(vars.size()) +
+                                   " free variables exceeds the assignment cap");
+      }
+    }
+    // One cursor buffer per depth, sized up front: a branch assigns each
+    // free variable at most once.
+    levels_.resize(vars.size());
+    Expand(active, 0);
+    return Status::Ok();
+  }
+
+ private:
+  /// A residual's entries not yet assigned on the current branch.
+  struct Cursor {
+    uint32_t pos;
+    uint32_t end;
+  };
+
+  void Expand(const std::vector<Cursor>& active, size_t depth) {
+    if (active.empty()) {
+      EmitCell(false);
+      return;
+    }
+    VarId v = std::numeric_limits<VarId>::max();
+    for (const Cursor& c : active) {
+      if (c.pos == c.end) {  // a cover descriptor holds on this branch
+        EmitCell(true);
+        return;
+      }
+      v = std::min(v, residuals_[c.pos].var);
+    }
+    std::vector<Cursor>& next = levels_[depth];
+    const uint32_t domain = static_cast<uint32_t>(u_.Domain(v).size());
+    for (uint32_t w = 0; w < domain; ++w) {
+      next.clear();
+      for (const Cursor& c : active) {
+        const UrelDescEntry& e = residuals_[c.pos];
+        if (e.var != v) {
+          next.push_back(c);
+        } else if (e.world == w) {
+          next.push_back(Cursor{c.pos + 1, c.end});
+        }
+      }
+      partial_.push_back(UrelDescEntry{v, w});
+      Expand(next, depth + 1);
+      partial_.pop_back();
     }
   }
+
+  void EmitCell(bool covered) {
+    MergeDescriptors(base_, partial_, cell_);  // disjoint variables
+    emit_(std::span<const UrelDescEntry>(cell_), covered);
+  }
+
+  const Urel& u_;
+  std::span<const UrelDescEntry> base_;
+  Emit& emit_;
+  std::vector<UrelDescEntry> residuals_;
+  std::vector<std::vector<Cursor>> levels_;
+  std::vector<UrelDescEntry> partial_;
+  std::vector<UrelDescEntry> cell_;
+};
+
+template <typename Emit>
+Status SplitByCover(const Urel& u, std::span<const UrelDescEntry> base,
+                    std::span<const std::span<const UrelDescEntry>> cover,
+                    Emit emit) {
+  return CoverSplit<Emit>(u, base, emit).Run(cover);
+}
+
+/// P(⋃ descs): the probability mass of the cells the union covers.
+/// kUnsupported past the cap. Two shapes have closed forms: one
+/// descriptor is a product, and descriptors of at most one assignment
+/// each union independent per-variable events.
+Result<double> DescriptorUnionProbability(
+    const Urel& u, const std::vector<std::span<const UrelDescEntry>>& descs) {
+  auto conj = [&u](std::span<const UrelDescEntry> d) {
+    double p = 1.0;
+    for (const UrelDescEntry& e : d) p *= u.Domain(e.var)[e.world];
+    return p;
+  };
+  if (descs.size() == 1) return conj(descs.front());
+  if (std::all_of(descs.begin(), descs.end(),
+                  [](const auto& d) { return d.size() <= 1; })) {
+    // P(⋃) = 1 − Π_v (1 − P(v takes one of its listed values)).
+    std::vector<UrelDescEntry> entries;
+    for (const auto& d : descs) {
+      if (d.empty()) return 1.0;
+      entries.push_back(d.front());
+    }
+    std::sort(entries.begin(), entries.end());
+    entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+    double none = 1.0;
+    for (size_t k = 0; k < entries.size();) {
+      double mass = 0.0;
+      const VarId v = entries[k].var;
+      for (; k < entries.size() && entries[k].var == v; ++k) {
+        mass += u.Domain(v)[entries[k].world];
+      }
+      none *= 1.0 - mass;
+    }
+    return 1.0 - none;
+  }
+  double prob_union = 0.0;
+  MAYWSD_RETURN_IF_ERROR(SplitByCover(
+      u, {}, descs, [&](std::span<const UrelDescEntry> cell, bool covered) {
+        if (covered) prob_union += conj(cell);
+      }));
   return prob_union;
 }
 
@@ -243,9 +368,14 @@ Urel::SymbolTable& Urel::MutableSymbols() {
   return symbols_.Mutable();
 }
 
-UrelValueId Urel::Intern(const rel::Value& v) {
+std::optional<UrelValueId> Urel::Find(const rel::Value& v) const {
   auto it = symbols().dict_index.find(v);
-  if (it != symbols().dict_index.end()) return it->second;
+  if (it == symbols().dict_index.end()) return std::nullopt;
+  return it->second;
+}
+
+UrelValueId Urel::Intern(const rel::Value& v) {
+  if (std::optional<UrelValueId> id = Find(v)) return *id;
   SymbolTable& s = MutableSymbols();
   UrelValueId id = static_cast<UrelValueId>(s.dict.size());
   s.dict.push_back(v);
@@ -290,6 +420,15 @@ Status Urel::Add(UrelRelation relation) {
   }
   std::string name = relation.name;
   relations_.emplace(std::move(name), Cow<UrelRelation>(std::move(relation)));
+  return Status::Ok();
+}
+
+Status Urel::Replace(UrelRelation relation) {
+  auto it = relations_.find(relation.name);
+  if (it == relations_.end()) {
+    return Status::NotFound("relation " + relation.name);
+  }
+  it->second.Reset(std::move(relation));
   return Status::Ok();
 }
 
@@ -471,7 +610,6 @@ Status UrelDifference(Urel& u, const std::string& left,
   auto right_groups = GroupRowsByData(*r);
   UrelRelation p = FreshRelation(out, l->schema);
   std::vector<UrelValueId> key(l->columns.size());
-  std::vector<UrelDescEntry> desc;
   for (size_t i = 0; i < l->NumRows(); ++i) {
     for (size_t a = 0; a < l->columns.size(); ++a) key[a] = l->columns[a][i];
     auto it = right_groups.find(key);
@@ -479,62 +617,15 @@ Status UrelDifference(Urel& u, const std::string& left,
       CopyTuple(*l, i, p);  // never subtracted
       continue;
     }
-    std::span<const UrelDescEntry> mine = l->Descriptor(i);
-    // A certain right match subtracts the tuple in every world.
-    bool certain_match = false;
+    // The tuple survives in the cells of its own descriptor where no
+    // matching right descriptor holds.
     std::vector<std::span<const UrelDescEntry>> matches;
-    for (size_t j : it->second) {
-      std::span<const UrelDescEntry> d = r->Descriptor(j);
-      if (d.empty()) {
-        certain_match = true;
-        break;
-      }
-      matches.push_back(d);
-    }
-    if (certain_match) continue;
-
-    // Expand over the involved variables: the tuple survives in exactly
-    // the assignments extending its own descriptor where no matching
-    // right descriptor holds.
-    std::vector<VarId> vars;
-    for (const UrelDescEntry& e : mine) vars.push_back(e.var);
-    for (const auto& d : matches) {
-      for (const UrelDescEntry& e : d) vars.push_back(e.var);
-    }
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-
-    uint64_t combos = 1;
-    for (VarId v : vars) {
-      combos *= u.Domain(v).size();
-      if (combos > kAssignmentCap) {
-        return Status::Unsupported(
-            "difference expansion exceeds the assignment cap on " + left);
-      }
-    }
-    std::vector<uint32_t> assignment(vars.size(), 0);
-    for (uint64_t w = 0; w < combos; ++w) {
-      if (DescriptorSatisfied(mine, vars, assignment)) {
-        bool subtracted = false;
-        for (const auto& d : matches) {
-          if (DescriptorSatisfied(d, vars, assignment)) {
-            subtracted = true;
-            break;
-          }
-        }
-        if (!subtracted) {
-          desc.clear();
-          for (size_t k = 0; k < vars.size(); ++k) {
-            desc.push_back(UrelDescEntry{vars[k], assignment[k]});
-          }
-          p.AppendTuple(key, desc);
-        }
-      }
-      for (size_t k = vars.size(); k-- > 0;) {
-        if (++assignment[k] < u.Domain(vars[k]).size()) break;
-        assignment[k] = 0;
-      }
-    }
+    for (size_t j : it->second) matches.push_back(r->Descriptor(j));
+    MAYWSD_RETURN_IF_ERROR(SplitByCover(
+        u, l->Descriptor(i), matches,
+        [&](std::span<const UrelDescEntry> cell, bool subtracted) {
+          if (!subtracted) p.AppendTuple(key, cell);
+        }));
   }
   return u.Add(std::move(p));
 }
@@ -543,72 +634,169 @@ Status UrelDrop(Urel& u, const std::string& name) { return u.Drop(name); }
 
 // -- Updates -----------------------------------------------------------------
 
-Status UrelInsert(Urel& u, const std::string& rel,
-                  const rel::Relation& tuples) {
-  MAYWSD_ASSIGN_OR_RETURN(UrelRelation * r, u.GetMutable(rel));
-  if (tuples.arity() != r->schema.arity()) {
-    return Status::InvalidArgument("insert arity mismatch on " + rel);
-  }
-  std::vector<UrelValueId> values(r->columns.size());
-  for (size_t i = 0; i < tuples.NumRows(); ++i) {
-    rel::TupleRef row = tuples.row(i);
-    for (size_t a = 0; a < values.size(); ++a) values[a] = u.Intern(row[a]);
-    r->AppendTuple(values, {});
-  }
-  return Status::Ok();
-}
-
 namespace {
 
-/// Shared row-removal core of delete (and nothing else): keeps the rows
-/// whose bitmap entry is 0, preserving their TIDs.
-void RemoveRows(UrelRelation& r, const std::vector<uint8_t>& remove) {
-  UrelRelation kept = FreshRelation(r.name, r.schema);
-  kept.next_tid = r.next_tid;
-  for (size_t i = 0; i < r.NumRows(); ++i) {
-    if (remove[i]) continue;
-    for (size_t a = 0; a < r.columns.size(); ++a) {
-      kept.columns[a].push_back(r.columns[a][i]);
-    }
-    kept.tids.push_back(r.tids[i]);
-    std::span<const UrelDescEntry> d = r.Descriptor(i);
-    kept.desc_entries.insert(kept.desc_entries.end(), d.begin(), d.end());
-    kept.desc_offsets.push_back(
-        static_cast<uint32_t>(kept.desc_entries.size()));
+/// The world condition of an update: the worlds where the guard relation
+/// is non-empty, i.e. the union of its rows' (deduplicated) descriptors.
+/// `always` when there is no guard or one of its rows is certain; with
+/// neither `always` nor descriptors, the condition selects no world.
+struct UrelGuard {
+  bool always = true;
+  std::vector<std::vector<UrelDescEntry>> descs;
+
+  bool never() const { return !always && descs.empty(); }
+};
+
+Result<UrelGuard> ReadGuard(const Urel& u, const std::string& guard) {
+  UrelGuard g;
+  if (guard.empty()) return g;
+  MAYWSD_ASSIGN_OR_RETURN(const UrelRelation* r, u.Get(guard));
+  for (size_t i = 0; i < r->NumRows(); ++i) {
+    std::span<const UrelDescEntry> d = r->Descriptor(i);
+    if (d.empty()) return g;  // non-empty in every world
+    g.descs.emplace_back(d.begin(), d.end());
   }
-  r = std::move(kept);
+  g.always = false;
+  std::sort(g.descs.begin(), g.descs.end());
+  g.descs.erase(std::unique(g.descs.begin(), g.descs.end()), g.descs.end());
+  return g;
+}
+
+bool NoHits(const std::vector<uint8_t>& hit) {
+  return std::find(hit.begin(), hit.end(), 1) == hit.end();
+}
+
+/// Rewrites `r` for a delete (`modified` null) or a modify (`modified`
+/// collects the output rows that are to take the new values). Rows `hit`
+/// misses are copied; a hit row is split by the guard into the cells
+/// where the update applies (dropped, or recorded in `modified`) and the
+/// cells where it does not (kept as they are). A row the guard leaves
+/// whole keeps its TID; split pieces get fresh ones.
+Result<UrelRelation> RewriteHits(const Urel& u, const UrelRelation& r,
+                                 const std::vector<uint8_t>& hit,
+                                 const UrelGuard& guard,
+                                 std::vector<size_t>* modified) {
+  UrelRelation out = FreshRelation(r.name, r.schema);
+  out.next_tid = r.next_tid;
+  const std::vector<std::span<const UrelDescEntry>> cover(guard.descs.begin(),
+                                                          guard.descs.end());
+  for (size_t i = 0; i < r.NumRows(); ++i) {
+    std::span<const UrelDescEntry> desc = r.Descriptor(i);
+    auto emit = [&](std::span<const UrelDescEntry> cell, bool applies) {
+      if (applies && modified == nullptr) return;  // deleted in these worlds
+      if (applies) modified->push_back(out.NumRows());
+      for (size_t a = 0; a < r.columns.size(); ++a) {
+        out.columns[a].push_back(r.columns[a][i]);
+      }
+      out.tids.push_back(cell.size() == desc.size() ? r.tids[i]
+                                                    : out.next_tid++);
+      out.desc_entries.insert(out.desc_entries.end(), cell.begin(),
+                              cell.end());
+      out.desc_offsets.push_back(
+          static_cast<uint32_t>(out.desc_entries.size()));
+    };
+    if (!hit[i]) {
+      emit(desc, false);
+    } else if (guard.always) {
+      emit(desc, true);
+    } else {
+      MAYWSD_RETURN_IF_ERROR(SplitByCover(u, desc, cover, emit));
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
-Status UrelDeleteWhere(Urel& u, const std::string& rel,
-                       const rel::Predicate& pred) {
+Status UrelInsert(Urel& u, const std::string& rel, const rel::Relation& tuples,
+                  const std::string& guard) {
+  MAYWSD_ASSIGN_OR_RETURN(const UrelRelation* target, u.Get(rel));
+  if (tuples.arity() != target->schema.arity()) {
+    return Status::InvalidArgument("insert arity mismatch on " + rel);
+  }
+  MAYWSD_ASSIGN_OR_RETURN(UrelGuard g, ReadGuard(u, guard));
+  if (g.never()) return Status::Ok();
   MAYWSD_ASSIGN_OR_RETURN(UrelRelation * r, u.GetMutable(rel));
-  std::vector<uint8_t> remove;
-  MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, *r, pred, remove));
-  RemoveRows(*r, remove);
+  std::vector<UrelValueId> values(r->columns.size());
+  for (size_t i = 0; i < tuples.NumRows(); ++i) {
+    rel::TupleRef row = tuples.row(i);
+    for (size_t a = 0; a < values.size(); ++a) values[a] = u.Intern(row[a]);
+    if (g.always) {
+      r->AppendTuple(values, {});
+      continue;
+    }
+    for (const std::vector<UrelDescEntry>& d : g.descs) {
+      r->AppendTuple(values, d);
+    }
+  }
   return Status::Ok();
+}
+
+Status UrelDeleteWhere(Urel& u, const std::string& rel,
+                       const rel::Predicate& pred, const std::string& guard) {
+  MAYWSD_ASSIGN_OR_RETURN(const UrelRelation* r, u.Get(rel));
+  MAYWSD_ASSIGN_OR_RETURN(UrelGuard g, ReadGuard(u, guard));
+  if (g.never()) return Status::Ok();
+  std::vector<uint8_t> hit;
+  MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, *r, pred, hit));
+  if (NoHits(hit)) return Status::Ok();  // keep sharing with forks
+  MAYWSD_ASSIGN_OR_RETURN(UrelRelation out,
+                          RewriteHits(u, *r, hit, g, nullptr));
+  return u.Replace(std::move(out));
 }
 
 Status UrelModifyWhere(Urel& u, const std::string& rel,
                        const rel::Predicate& pred,
-                       std::span<const rel::Assignment> assignments) {
-  MAYWSD_ASSIGN_OR_RETURN(UrelRelation * r, u.GetMutable(rel));
-  std::vector<std::pair<size_t, UrelValueId>> writes;
+                       std::span<const rel::Assignment> assignments,
+                       const std::string& guard) {
+  MAYWSD_ASSIGN_OR_RETURN(const UrelRelation* r, u.Get(rel));
+  std::vector<size_t> cols;
   for (const rel::Assignment& a : assignments) {
     auto col = r->schema.IndexOf(a.attr);
     if (!col) {
       return Status::NotFound("attribute " + a.attr + " not in " + rel);
     }
-    writes.emplace_back(*col, u.Intern(a.value));
+    cols.push_back(*col);
   }
+  MAYWSD_ASSIGN_OR_RETURN(UrelGuard g, ReadGuard(u, guard));
+  if (g.never()) return Status::Ok();
   std::vector<uint8_t> hit;
   MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, *r, pred, hit));
-  for (size_t i = 0; i < r->NumRows(); ++i) {
-    if (!hit[i]) continue;
-    for (const auto& [col, id] : writes) r->columns[col][i] = id;
+  if (NoHits(hit)) return Status::Ok();  // keep sharing with forks
+
+  if (g.always) {  // rewrite the matching cells in place
+    std::vector<UrelValueId> ids;
+    for (const rel::Assignment& a : assignments) ids.push_back(u.Intern(a.value));
+    MAYWSD_ASSIGN_OR_RETURN(UrelRelation * m, u.GetMutable(rel));
+    for (size_t i = 0; i < m->NumRows(); ++i) {
+      if (!hit[i]) continue;
+      for (size_t k = 0; k < cols.size(); ++k) m->columns[cols[k]][i] = ids[k];
+    }
+    return Status::Ok();
   }
-  return Status::Ok();
+  std::vector<size_t> modified;
+  MAYWSD_ASSIGN_OR_RETURN(UrelRelation out,
+                          RewriteHits(u, *r, hit, g, &modified));
+  // Intern only now: an expansion past the cap leaves the store untouched.
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const UrelValueId id = u.Intern(assignments[k].value);
+    for (size_t row : modified) out.columns[cols[k]][row] = id;
+  }
+  return u.Replace(std::move(out));
+}
+
+Status UrelApplyUpdate(Urel& u, const rel::UpdateOp& op,
+                       const std::string& guard) {
+  switch (op.kind()) {
+    case rel::UpdateOp::Kind::kInsert:
+      return UrelInsert(u, op.relation(), op.tuples(), guard);
+    case rel::UpdateOp::Kind::kDelete:
+      return UrelDeleteWhere(u, op.relation(), op.predicate(), guard);
+    case rel::UpdateOp::Kind::kModify:
+      return UrelModifyWhere(u, op.relation(), op.predicate(),
+                             op.assignments(), guard);
+  }
+  return Status::Internal("unknown update kind");
 }
 
 // -- Answer surface ----------------------------------------------------------
@@ -672,16 +860,19 @@ Result<double> UrelTupleConfidence(const Urel& u, const std::string& relation,
   if (tuple.size() != r->schema.arity()) {
     return Status::InvalidArgument("tuple arity mismatch on " + relation);
   }
+  // The dictionary is injective, so equal tuples are equal id rows, and a
+  // value the store never interned occurs in no row.
+  std::vector<UrelValueId> key(tuple.size());
+  for (size_t a = 0; a < tuple.size(); ++a) {
+    std::optional<UrelValueId> id = u.Find(tuple[a]);
+    if (!id) return 0.0;
+    key[a] = *id;
+  }
   std::vector<std::span<const UrelDescEntry>> descs;
-  std::vector<rel::Value> row;
   for (size_t i = 0; i < r->NumRows(); ++i) {
-    u.MaterializeRow(*r, i, row);
     bool equal = true;
-    for (size_t a = 0; a < tuple.size(); ++a) {
-      if (!(row[a] == tuple[a])) {
-        equal = false;
-        break;
-      }
+    for (size_t a = 0; a < key.size() && equal; ++a) {
+      equal = r->columns[a][i] == key[a];
     }
     if (equal) descs.push_back(r->Descriptor(i));
   }
@@ -744,10 +935,13 @@ Result<Urel> ExportUrel(const Wsdt& wsdt) {
         r.AppendTuple(values, {});
         continue;
       }
+      // One covering component's local worlds are already materialized, so
+      // expanding over them is linear in its size; only a product of
+      // several components can blow up.
       uint64_t combos = 1;
       for (const auto& [comp, cells] : covers) {
         combos *= wsdt.component(comp).NumWorlds();
-        if (combos > kAssignmentCap) {
+        if (covers.size() > 1 && combos > kAssignmentCap) {
           return Status::InvalidArgument(
               "ExportUrel: row expansion exceeds the assignment cap on " +
               name);

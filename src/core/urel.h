@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -59,6 +60,9 @@ struct UrelDescEntry {
 
   bool operator==(const UrelDescEntry& o) const {
     return var == o.var && world == o.world;
+  }
+  bool operator<(const UrelDescEntry& o) const {
+    return var != o.var ? var < o.var : world < o.world;
   }
 };
 
@@ -105,6 +109,9 @@ class Urel {
   /// only a genuinely new value privatizes a shared symbol table.
   UrelValueId Intern(const rel::Value& v);
 
+  /// The id of `v` if it is already in the dictionary; never interns.
+  std::optional<UrelValueId> Find(const rel::Value& v) const;
+
   const rel::Value& ValueAt(UrelValueId id) const {
     return symbols().dict[id];
   }
@@ -147,16 +154,20 @@ class Urel {
   //
   // Relations are held behind per-relation copy-on-write handles: copying
   // a Urel shares every relation's columns/TIDs/CSR descriptors in O(1),
-  // and GetMutable breaks sharing for that relation only. Raw pointers
-  // returned by Get/GetMutable are valid until the catalog entry is
-  // dropped or (for Get) the relation is next privatized — do not hold
-  // them across a session-lock release.
+  // and GetMutable or Replace breaks sharing for that relation only. Raw
+  // pointers returned by Get/GetMutable are valid until the catalog entry
+  // is dropped or (for Get) the relation is next privatized or replaced —
+  // do not hold them across a session-lock release.
 
   bool Contains(const std::string& name) const;
   std::vector<std::string> Names() const;
   Result<const UrelRelation*> Get(const std::string& name) const;
   Result<UrelRelation*> GetMutable(const std::string& name);
   Status Add(UrelRelation relation);
+  /// Installs `relation` in place of the catalog entry of the same name
+  /// without copying the old payload: forks and snapshots keep sharing
+  /// theirs, and every other relation stays shared.
+  Status Replace(UrelRelation relation);
   Status Drop(const std::string& name);
 
   /// Materializes row `row` of `r` as engine values.
@@ -231,8 +242,8 @@ Status UrelRename(
     const std::vector<std::pair<std::string, std::string>>& renames);
 
 /// out := left − right. Not positive RA: a left tuple matched by uncertain
-/// right tuples is expanded over the assignments of the involved variables
-/// (kept where no matching right descriptor is satisfied). Returns
+/// right tuples is expanded over the variables its own descriptor leaves
+/// free (kept where no matching right descriptor is satisfied). Returns
 /// kUnsupported when that expansion exceeds an internal cap — callers
 /// fall back to the template semantics.
 Status UrelDifference(Urel& u, const std::string& left,
@@ -244,25 +255,49 @@ Status UrelDrop(Urel& u, const std::string& name);
 
 // -- Native update fragment ---------------------------------------------------
 //
-// With no '?' cells and no ⊥, the whole unconditional update surface is a
-// pure row rewriting: predicates always decide on concrete data.
-// World-conditional mutations compose with the guard's variables and take
-// the established one-round-trip fallback in the backend instead.
+// With no '?' cells and no ⊥, every update is a pure row rewriting:
+// predicates always decide on concrete data. A world condition names a
+// guard relation G (the engine materializes the condition's answer); the
+// update applies in the worlds where G is non-empty, i.e. under the union
+// of G's descriptors:
+//   - insert appends the tuples once under each of G's descriptors;
+//   - delete keeps a matching row t under desc(t) ∧ ¬G;
+//   - modify splits a matching row t into the new values under
+//     desc(t) ∧ G and the old values under desc(t) ∧ ¬G.
+// desc(t) ∧ ¬G is the expansion UrelDifference performs: only the
+// variables desc(t) leaves free are enumerated. Rows a split creates get
+// fresh TIDs; a row the guard leaves whole keeps its TID. An empty guard
+// name, or a G with a certain row, is the unconditional update; an empty G
+// is a no-op. Deletes and guarded modifies build the rewritten relation
+// first and swap it in with Urel::Replace; either way only the target
+// stops sharing with forks. An expansion past the cap returns
+// kUnsupported with the store untouched — callers fall back to the
+// template semantics.
 
-/// Appends `tuples` (a fully certain instance) with empty descriptors
-/// under fresh TIDs — insert-in-every-world.
-Status UrelInsert(Urel& u, const std::string& rel, const rel::Relation& tuples);
+/// insert `tuples` (a fully certain instance) into `rel` under fresh TIDs,
+/// in the worlds where `guard` is non-empty (every world when empty).
+Status UrelInsert(Urel& u, const std::string& rel, const rel::Relation& tuples,
+                  const std::string& guard = {});
 
-/// delete from `rel` where `pred`: matching rows are removed outright (a
-/// tuple satisfying `pred` is deleted in every world it exists in).
+/// delete from `rel` where `pred`, in the worlds where `guard` is
+/// non-empty (unconditionally: matching rows are removed outright).
 Status UrelDeleteWhere(Urel& u, const std::string& rel,
-                       const rel::Predicate& pred);
+                       const rel::Predicate& pred,
+                       const std::string& guard = {});
 
-/// update `rel` set `assignments` where `pred`: matching rows' cells are
-/// rewritten in place; descriptors are untouched.
+/// update `rel` set `assignments` where `pred`, in the worlds where
+/// `guard` is non-empty (unconditionally: matching rows' cells are
+/// rewritten in place and descriptors are untouched).
 Status UrelModifyWhere(Urel& u, const std::string& rel,
                        const rel::Predicate& pred,
-                       std::span<const rel::Assignment> assignments);
+                       std::span<const rel::Assignment> assignments,
+                       const std::string& guard = {});
+
+/// Dispatches `op` (already validated by the engine driver) to the three
+/// operators above; `guard` names the materialized world-condition
+/// answer, empty = unconditional.
+Status UrelApplyUpdate(Urel& u, const rel::UpdateOp& op,
+                       const std::string& guard);
 
 // -- Answer surface (Section 6) via descriptor-aware aggregation --------------
 
@@ -280,8 +315,10 @@ Result<rel::Relation> UrelCertainTuples(const Urel& u,
                                         const std::string& relation);
 
 /// conf(t): probability of the union of the worlds selected by the
-/// descriptors of the tuples equal to `tuple` — computed by enumerating
-/// assignments of the involved variables only.
+/// descriptors of the tuples equal to `tuple` — a sum over disjoint cells
+/// that expand the involved variables only. The tuple is looked up in the
+/// dictionary (a value it never interned means confidence 0) and rows are
+/// matched on value ids.
 Result<double> UrelTupleConfidence(const Urel& u, const std::string& relation,
                                    std::span<const rel::Value> tuple);
 

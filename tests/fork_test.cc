@@ -286,6 +286,73 @@ TEST(ForkSemantics, UrelForkSharesSymbolsUntilDivergentWrite) {
   EXPECT_FALSE(parent_u->SharesSymbolsWith(*std::as_const(fork).urel()));
 }
 
+/// A guarded update on a urel fork is a native descriptor rewriting, not a
+/// store rebuild: the fork keeps sharing the parent's symbol table and
+/// every relation it did not write, and the parent's answers stay put.
+TEST(ForkSemantics, UrelGuardedUpdateOnForkKeepsSharing) {
+  // Two worlds: S = {(5)} with probability 0.25, S = {} otherwise; R and T
+  // are certain.
+  std::vector<core::PossibleWorld> worlds(2);
+  rel::Relation s(rel::Schema::FromNames({"C"}), "S");
+  s.AppendRow({I(5)});
+  rel::Relation t(rel::Schema::FromNames({"D"}), "T");
+  t.AppendRow({I(9)});
+  for (core::PossibleWorld& w : worlds) {
+    w.db.PutRelation(BaseRelation());
+    w.db.PutRelation(t);
+  }
+  worlds[0].db.PutRelation(s);
+  worlds[0].prob = 0.25;
+  worlds[1].db.PutRelation(rel::Relation(s.schema(), "S"));
+  worlds[1].prob = 0.75;
+  auto session_or = testutil::OpenSessionOver(
+      BackendKind::kUrel, core::WsdFromWorlds(worlds).value());
+  ASSERT_TRUE(session_or.ok());
+  Session session = std::move(session_or).value();
+  auto answers = [](const Session& s) {
+    std::vector<double> confs;
+    for (int64_t a : {1, 2, 3}) {
+      std::vector<rel::Value> tuple = {I(a)};
+      confs.push_back(s.TupleConfidence("R", tuple).value());
+    }
+    return confs;
+  };
+  const std::vector<double> parent_before = answers(session);
+
+  Session fork = session.Fork();
+  Plan guard = Plan::Scan("S");
+  ASSERT_TRUE(fork.Apply(UpdateOp::DeleteWhere(
+                             "R", Predicate::Cmp("A", CmpOp::kEq, I(1)))
+                             .When(guard))
+                  .ok());
+  ASSERT_TRUE(fork.Apply(UpdateOp::ModifyWhere(
+                             "R", Predicate::Cmp("A", CmpOp::kEq, I(2)),
+                             {{"A", I(3)}})
+                             .When(guard))
+                  .ok());
+  rel::Relation add(rel::Schema::FromNames({"A"}), "R");
+  add.AppendRow({I(2)});  // already in the shared dictionary
+  ASSERT_TRUE(fork.Apply(UpdateOp::InsertTuples("R", add).When(guard)).ok());
+  EXPECT_EQ(fork.Stats().round_trips, 0u);
+
+  const core::Urel* parent_u = std::as_const(session).urel();
+  const core::Urel* fork_u = std::as_const(fork).urel();
+  ASSERT_NE(parent_u, nullptr);
+  ASSERT_NE(fork_u, nullptr);
+  EXPECT_TRUE(parent_u->SharesSymbolsWith(*fork_u));
+  // Only the written relation stopped sharing its payload.
+  EXPECT_EQ(parent_u->Get("T").value(), fork_u->Get("T").value());
+  EXPECT_EQ(parent_u->Get("S").value(), fork_u->Get("S").value());
+  EXPECT_NE(parent_u->Get("R").value(), fork_u->Get("R").value());
+  ASSERT_TRUE(core::ValidateUrel(*fork_u).ok());
+
+  EXPECT_EQ(answers(session), parent_before);
+  const std::vector<double> forked = answers(fork);
+  EXPECT_NEAR(forked[0], 0.75, 1e-9);  // deleted where S is non-empty
+  EXPECT_NEAR(forked[1], 1.0, 1e-9);   // re-inserted exactly there
+  EXPECT_NEAR(forked[2], 1.0, 1e-9);
+}
+
 /// Forks survive their parent: the store's refcount discipline lets a pin
 /// outlive the session it came from and die on another thread.
 TEST(ForkSemantics, ForkAndSnapshotOutliveParent) {

@@ -296,7 +296,35 @@ Predicate RandomUpdatePredicate(Rng& rng,
   }
 }
 
-UpdateOp RandomUpdateOp(Rng& rng) {
+/// A world condition whose answer rows carry multi-variable descriptors on
+/// the U-relations store: a product or join of two uncertain relations,
+/// or the belief layer's "fact has no witness" shape
+/// U − π_U(σ(fact) × U) over the certain unit relation U{U}.
+Plan RandomMultiVariableGuard(Rng& rng) {
+  switch (rng.Uniform(3)) {
+    case 0:
+      return Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
+    case 1:
+      return Plan::Join(Predicate::CmpAttr("A", CmpOp::kEq, "C"),
+                        Plan::Scan(rng.Bernoulli(0.5) ? "R" : "R2"),
+                        Plan::Scan("S"));
+    default: {
+      Plan fact = Plan::Select(RandomUpdatePredicate(rng, {"A", "B"}, 0),
+                               Plan::Join(Predicate::CmpAttr("B", CmpOp::kEq,
+                                                             "D"),
+                                          Plan::Scan("R"), Plan::Scan("S")));
+      Plan witnessed =
+          Plan::Project({"U"}, Plan::Product(std::move(fact), Plan::Scan("U")));
+      return Plan::Difference(Plan::Scan("U"), std::move(witnessed));
+    }
+  }
+}
+
+/// A random insert/delete/modify on R, S or R2, world-conditional with
+/// probability 0.4. With `multi_variable_guards`, one op in five is
+/// guarded by RandomMultiVariableGuard first (the world set must then
+/// hold U).
+UpdateOp RandomUpdateOp(Rng& rng, bool multi_variable_guards = false) {
   struct Target {
     const char* name;
     std::vector<std::string> attrs;
@@ -334,7 +362,9 @@ UpdateOp RandomUpdateOp(Rng& rng) {
     }
   }();
 
-  if (rng.Bernoulli(0.4)) {
+  if (multi_variable_guards && rng.Bernoulli(0.2)) {
+    op = op.When(RandomMultiVariableGuard(rng));
+  } else if (rng.Bernoulli(0.4)) {
     // World condition over one of the OTHER relations (or the target
     // itself — the guard must snapshot).
     const Target& cond = targets[rng.Uniform(3)];
@@ -353,11 +383,29 @@ class UpdateOracleProperty : public ::testing::TestWithParam<int> {};
 TEST_P(UpdateOracleProperty, AllThreeBackendsMatchPerWorldReference) {
   SeededRng rng(static_cast<uint64_t>(GetParam()) * 86243 + 17);
   MAYWSD_SEED_TRACE(rng);
-  std::vector<RelSpec> specs = {RelSpec{"R", {"A", "B"}, 2, 3},
-                                RelSpec{"S", {"C", "D"}, 2, 3},
-                                RelSpec{"R2", {"A", "B"}, 2, 3}};
-  const std::vector<std::string> names = {"R", "S", "R2"};
-  Wsd wsd = testutil::RandomWsd(rng, specs, 3);
+  // {R, R2} and S are drawn independently (3 × 3 worlds), so the
+  // decomposition keeps them in separate components and a product or
+  // join of R and S carries two-variable descriptors on urel.
+  std::vector<PossibleWorld> rs = testutil::RandomWorlds(
+      rng, {RelSpec{"R", {"A", "B"}, 2, 3}, RelSpec{"R2", {"A", "B"}, 2, 3}},
+      3);
+  std::vector<PossibleWorld> ss =
+      testutil::RandomWorlds(rng, {RelSpec{"S", {"C", "D"}, 2, 3}}, 3);
+  const std::vector<std::string> names = {"R", "S", "R2", "U"};
+  rel::Relation unit(rel::Schema::FromNames({"U"}), "U");
+  unit.AppendRow({I(0)});
+  std::vector<PossibleWorld> worlds;
+  for (const PossibleWorld& a : rs) {
+    for (const PossibleWorld& b : ss) {
+      PossibleWorld world = a;
+      world.db.PutRelation(*b.db.GetRelation("S").value());
+      world.db.PutRelation(unit);
+      world.prob = a.prob * b.prob;
+      worlds.push_back(std::move(world));
+    }
+  }
+  Wsd wsd = WsdFromWorlds(worlds).value();
+  ASSERT_TRUE(NormalizeWsd(wsd).ok());
 
   // Ground truth: the per-world reference over the expanded world set.
   auto truth_or = wsd.EnumerateWorlds(100000, names);
@@ -366,7 +414,7 @@ TEST_P(UpdateOracleProperty, AllThreeBackendsMatchPerWorldReference) {
 
   std::vector<BackendUnderTest> backends = MakeBackends(wsd);
   for (int step = 0; step < 5; ++step) {
-    UpdateOp op = RandomUpdateOp(rng);
+    UpdateOp op = RandomUpdateOp(rng, /*multi_variable_guards=*/true);
     for (PossibleWorld& world : truth) {
       ASSERT_TRUE(rel::ApplyUpdate(world.db, op).ok())
           << op.ToString() << " step " << step;
@@ -386,6 +434,12 @@ TEST_P(UpdateOracleProperty, AllThreeBackendsMatchPerWorldReference) {
       EXPECT_TRUE(WorldSetsEquivalent(truth, *expanded))
           << b.name << " diverges from the per-world reference after "
           << op.ToString() << " at step " << step;
+      if (b.session->kind() == api::BackendKind::kUrel) {
+        // Guarded updates are native descriptor rewritings on urel.
+        EXPECT_EQ(b.session->Stats().round_trips, 0u)
+            << "urel round-tripped on " << op.ToString() << " at step "
+            << step;
+      }
     }
   }
 }

@@ -3,8 +3,9 @@
 // rewritings (conflicting-descriptor pairs vanish), the Section 6 answer
 // surface via descriptor-aware aggregation, the ⇄ WSDT conversions as a
 // world-set-preserving round trip, ValidateUrel's integrity checks, and
-// the round-trip counter: positive RA must run with ZERO import/export
-// round trips, while world-conditional updates take exactly one.
+// the round-trip counter: positive RA and world-conditional updates must
+// run with ZERO import/export round trips; only an assignment expansion
+// past the cap takes exactly one.
 
 #include "core/urel.h"
 
@@ -70,6 +71,29 @@ void AddProbeRelation(SmallStore& s) {
   row = {s.u.Intern(I(3))};
   rel.AppendTuple(row, {});
   ASSERT_TRUE(s.u.Add(std::move(rel)).ok());
+}
+
+/// Adds a one-column relation `name`{C} whose rows hold the values
+/// 100, 101, ... under the given descriptors.
+void AddGuardRelation(Urel& u, const std::string& name,
+                      const std::vector<std::vector<UrelDescEntry>>& descs) {
+  UrelRelation g;
+  g.name = name;
+  g.schema = rel::Schema::FromNames({"C"});
+  g.columns.resize(1);
+  for (size_t i = 0; i < descs.size(); ++i) {
+    std::vector<UrelValueId> row = {
+        u.Intern(I(100 + static_cast<int64_t>(i)))};
+    g.AppendTuple(row, descs[i]);
+  }
+  ASSERT_TRUE(u.Add(std::move(g)).ok());
+}
+
+double Conf(const Urel& u, const std::string& rel,
+            std::vector<rel::Value> tuple) {
+  auto conf = UrelTupleConfidence(u, rel, tuple);
+  EXPECT_TRUE(conf.ok()) << conf.status();
+  return conf.ok() ? *conf : -1.0;
 }
 
 TEST(UrelStoreTest, DictionaryInternsByValueEquality) {
@@ -286,6 +310,136 @@ TEST(UrelUpdateTest, NativeUnconditionalUpdates) {
   EXPECT_TRUE(ValidateUrel(s.u).ok());
 }
 
+TEST(UrelUpdateTest, GuardedUpdatesRewriteDescriptors) {
+  SmallStore s = MakeSmallStore();
+  AddGuardRelation(s.u, "G", {{{s.y, 1}}});  // non-empty iff y=1
+  const size_t dict_before = s.u.DictionarySize();
+
+  // delete where A=1 when G: the certain (1,1) survives exactly where y=0,
+  // under a fresh TID (its descriptor changed).
+  ASSERT_TRUE(UrelDeleteWhere(s.u, "R", Predicate::Cmp("A", CmpOp::kEq, I(1)),
+                              "G")
+                  .ok());
+  EXPECT_NEAR(Conf(s.u, "R", {I(1), I(1)}), 0.5, 1e-12);
+  auto r = s.u.Get("R");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ((*r)->NumRows(), 3u);
+  EXPECT_EQ((*r)->tids, (std::vector<int64_t>{3, 1, 2}));
+  EXPECT_EQ((*r)->next_tid, 4);
+  ASSERT_TRUE(ValidateUrel(s.u).ok());
+
+  // modify set B=9 where A=2 when G: (2,2) iff x=0 splits into (2,9)
+  // under x=0 ∧ y=1 and (2,2) under x=0 ∧ y=0.
+  ASSERT_TRUE(UrelModifyWhere(s.u, "R", Predicate::Cmp("A", CmpOp::kEq, I(2)),
+                              std::vector<rel::Assignment>{{"B", I(9)}}, "G")
+                  .ok());
+  EXPECT_NEAR(Conf(s.u, "R", {I(2), I(9)}), 0.2, 1e-12);
+  EXPECT_NEAR(Conf(s.u, "R", {I(2), I(2)}), 0.2, 1e-12);
+  // (3,3) iff x=1 ∧ y=0 did not match: untouched, TID kept.
+  EXPECT_NEAR(Conf(s.u, "R", {I(3), I(3)}), 0.3, 1e-12);
+  r = s.u.Get("R");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ((*r)->NumRows(), 4u);
+  EXPECT_EQ((*r)->tids.back(), 2);
+  ASSERT_TRUE(ValidateUrel(s.u).ok());
+
+  // insert (7,7) when G: once under each of G's descriptors.
+  rel::Relation fresh(rel::Schema::FromNames({"A", "B"}), "fresh");
+  fresh.AppendRow({I(7), I(7)});
+  ASSERT_TRUE(UrelInsert(s.u, "R", fresh, "G").ok());
+  EXPECT_NEAR(Conf(s.u, "R", {I(7), I(7)}), 0.5, 1e-12);
+  ASSERT_TRUE(ValidateUrel(s.u).ok());
+  EXPECT_EQ(s.u.DictionarySize(), dict_before + 2);  // 9 and 7
+
+  // A descriptor G already implies is covered whole: the row keeps its
+  // TID and takes the new values.
+  r = s.u.Get("R");
+  ASSERT_TRUE(r.ok());
+  const int64_t seven_tid = (*r)->tids.back();
+  ASSERT_TRUE(UrelModifyWhere(s.u, "R", Predicate::Cmp("A", CmpOp::kEq, I(7)),
+                              std::vector<rel::Assignment>{{"B", I(8)}}, "G")
+                  .ok());
+  EXPECT_NEAR(Conf(s.u, "R", {I(7), I(8)}), 0.5, 1e-12);
+  EXPECT_EQ(Conf(s.u, "R", {I(7), I(7)}), 0.0);
+  r = s.u.Get("R");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ((*r)->tids.back(), seven_tid);
+}
+
+TEST(UrelUpdateTest, CertainAndEmptyGuardsReduceToPlainUpdates) {
+  SmallStore s = MakeSmallStore();
+  AddGuardRelation(s.u, "ALWAYS", {{{s.y, 1}}, {}});  // one certain row
+  AddGuardRelation(s.u, "NEVER", {});
+  auto before = s.u.Get("R");
+  ASSERT_TRUE(before.ok());
+  const UrelRelation snapshot = **before;
+
+  ASSERT_TRUE(UrelDeleteWhere(s.u, "R", Predicate::True(), "NEVER").ok());
+  rel::Relation fresh(rel::Schema::FromNames({"A", "B"}), "fresh");
+  fresh.AppendRow({I(7), I(7)});
+  ASSERT_TRUE(UrelInsert(s.u, "R", fresh, "NEVER").ok());
+  auto after = s.u.Get("R");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->tids, snapshot.tids);
+  EXPECT_EQ((*after)->desc_entries, snapshot.desc_entries);
+
+  // A certain guard row: the delete is unconditional, survivors keep TIDs.
+  ASSERT_TRUE(UrelDeleteWhere(s.u, "R", Predicate::Cmp("A", CmpOp::kLt, I(3)),
+                              "ALWAYS")
+                  .ok());
+  after = s.u.Get("R");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->tids, (std::vector<int64_t>{2}));
+  ASSERT_TRUE(UrelInsert(s.u, "R", fresh, "ALWAYS").ok());
+  EXPECT_EQ(Conf(s.u, "R", {I(7), I(7)}), 1.0);
+}
+
+/// Adds two fresh variables whose joint assignments (1024 · 1025) just
+/// exceed the 2^20 assignment cap, and a guard relation `name` that is
+/// non-empty iff either takes value 0.
+void AddWideGuard(Urel& u, const std::string& name) {
+  VarId a = u.AddVariable(std::vector<double>(1024, 1.0 / 1024));
+  VarId b = u.AddVariable(std::vector<double>(1025, 1.0 / 1025));
+  AddGuardRelation(u, name, {{{a, 0}}, {{b, 0}}});
+}
+
+TEST(UrelUpdateTest, ExpansionPastTheCapLeavesTheStoreUntouched) {
+  SmallStore s = MakeSmallStore();
+  AddWideGuard(s.u, "WIDE");
+  auto before = s.u.Get("R");
+  ASSERT_TRUE(before.ok());
+  const UrelRelation snapshot = **before;
+  const size_t dict_before = s.u.DictionarySize();
+
+  Status st = UrelDeleteWhere(s.u, "R", Predicate::True(), "WIDE");
+  EXPECT_EQ(st.code(), StatusCode::kUnsupported) << st;
+  st = UrelModifyWhere(s.u, "R", Predicate::True(),
+                       std::vector<rel::Assignment>{{"B", I(12345)}}, "WIDE");
+  EXPECT_EQ(st.code(), StatusCode::kUnsupported) << st;
+
+  auto after = s.u.Get("R");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);  // the catalog entry was never replaced
+  EXPECT_EQ((*after)->tids, snapshot.tids);
+  EXPECT_EQ((*after)->columns, snapshot.columns);
+  EXPECT_EQ((*after)->desc_entries, snapshot.desc_entries);
+  EXPECT_EQ(s.u.DictionarySize(), dict_before);
+  EXPECT_FALSE(s.u.Find(I(12345)).has_value());
+}
+
+TEST(UrelAnswerTest, ConfidenceLooksTheTupleUpById) {
+  SmallStore s = MakeSmallStore();
+  const size_t dict_before = s.u.DictionarySize();
+  // A value the store never interned: confidence 0, and the lookup does
+  // not intern it.
+  EXPECT_EQ(Conf(s.u, "R", {I(2), I(424242)}), 0.0);
+  EXPECT_EQ(s.u.DictionarySize(), dict_before);
+  EXPECT_FALSE(s.u.Find(I(424242)).has_value());
+  // Both values known but never together in one row.
+  EXPECT_EQ(Conf(s.u, "R", {I(2), I(3)}), 0.0);
+  EXPECT_NEAR(Conf(s.u, "R", {I(2), I(2)}), 0.4, 1e-12);
+}
+
 TEST(UrelConversionTest, ExportImportRoundTripPreservesWorldSets) {
   std::vector<RelSpec> specs = {RelSpec{"R", {"A", "B"}, 2, 3},
                                 RelSpec{"S", {"C", "D"}, 2, 3}};
@@ -389,13 +543,70 @@ TEST(UrelBackendTest, PositiveRaRunsWithZeroRoundTrips) {
       engine::ApplyUpdate(backend, UpdateOp::InsertTuples("R", fresh)).ok());
   EXPECT_EQ(backend.RoundTrips(), 0u);
 
-  // A world-conditional update is the documented one-round-trip fallback.
+  // World-conditional updates are native descriptor rewritings too.
+  Plan guard = Plan::Select(Predicate::Cmp("C", CmpOp::kGe, I(1)),
+                            Plan::Scan("S"));
+  ASSERT_TRUE(engine::ApplyUpdate(
+                  backend, UpdateOp::InsertTuples("R", fresh).When(guard))
+                  .ok());
+  EXPECT_EQ(backend.RoundTrips(), 0u);
+  ASSERT_TRUE(engine::ApplyUpdate(
+                  backend, UpdateOp::ModifyWhere(
+                               "R", Predicate::Cmp("A", CmpOp::kGe, I(1)),
+                               {{"B", I(2)}})
+                               .When(guard))
+                  .ok());
+  EXPECT_EQ(backend.RoundTrips(), 0u);
   ASSERT_TRUE(engine::ApplyUpdate(
                   backend, UpdateOp::DeleteWhere("R", Predicate::True())
                                .When(Plan::Scan("S")))
                   .ok());
-  EXPECT_EQ(backend.RoundTrips(), 1u);
+  EXPECT_EQ(backend.RoundTrips(), 0u);
   ASSERT_TRUE(ValidateUrel(*u).ok());
+}
+
+TEST(UrelBackendTest, GuardPastTheCapTakesExactlyOneRoundTrip) {
+  Urel u;
+  AddWideGuard(u, "G");
+  UrelRelation r;
+  r.name = "R";
+  r.schema = rel::Schema::FromNames({"A"});
+  r.columns.resize(1);
+  std::vector<UrelValueId> row = {u.Intern(I(7))};
+  r.AppendTuple(row, {});
+  ASSERT_TRUE(u.Add(std::move(r)).ok());
+  engine::UrelBackend backend(u);
+
+  ASSERT_TRUE(engine::ApplyUpdate(
+                  backend, UpdateOp::DeleteWhere("R", Predicate::True())
+                               .When(Plan::Scan("G")))
+                  .ok());
+  EXPECT_EQ(backend.RoundTrips(), 1u);
+  ASSERT_TRUE(ValidateUrel(backend.urel()).ok());
+
+  // Per-world reference: (7) survives in the worlds where G is empty,
+  // i.e. a ≠ 0 ∧ b ≠ 0; G itself is untouched.
+  const size_t na = 1024, nb = 1025;
+  double survives = 0.0;
+  for (size_t wa = 0; wa < na; ++wa) {
+    for (size_t wb = 0; wb < nb; ++wb) {
+      if (wa != 0 && wb != 0) survives += (1.0 / na) * (1.0 / nb);
+    }
+  }
+  std::vector<rel::Value> seven = {I(7)};
+  auto conf = backend.TupleConfidence("R", seven);
+  ASSERT_TRUE(conf.ok()) << conf.status();
+  EXPECT_NEAR(*conf, survives, 1e-9);
+  auto possible = backend.PossibleTuples("R");
+  ASSERT_TRUE(possible.ok());
+  EXPECT_EQ(possible->NumRows(), 1u);
+  auto certain = backend.CertainTuples("R");
+  ASSERT_TRUE(certain.ok());
+  EXPECT_EQ(certain->NumRows(), 0u);
+  std::vector<rel::Value> g0 = {I(100)};
+  conf = backend.TupleConfidence("G", g0);
+  ASSERT_TRUE(conf.ok()) << conf.status();
+  EXPECT_NEAR(*conf, 1.0 / na, 1e-9);
 }
 
 TEST(UrelBackendTest, SessionSurfacesRoundTripCounter) {
