@@ -9,10 +9,10 @@
 // session (the Section 4 WSD is adopted as its WSDT at the Session edge,
 // so it runs the WSDT operators and tracks the wsdt column) and the
 // Section 3 C/F/W uniform store of the same world set at small sizes (the
-// uniform store pays template-semantics round trips for the
-// non-relational operators, so this section stays small — which is the
-// paper's point: the template refinement is what scales), tracking the
-// WSD-vs-WSDT-vs-uniform trajectory.
+// uniform store rewrites its relations row by row and composes
+// components by materializing their products, so this section stays
+// small — which is the paper's point: the template refinement is what
+// scales), tracking the WSD-vs-WSDT-vs-uniform trajectory.
 //
 // Expected shape: per query, time grows linearly with relation size, the
 // density curves sit on top of each other and track the 0% one-world curve
@@ -152,12 +152,11 @@ int main(int argc, char** argv) {
   // Cross-backend trajectory: identical plans over WSD, WSDT, the uniform
   // C/F/W store and the columnar U-relations store through the one Session
   // facade. The wsd session runs on the WSDT backend; the uniform store
-  // pays whole-store template-semantics round trips for non-relational
-  // operators, so this section stays at small fixed sizes regardless of
-  // MAYWSD_SCALE — which is the paper's point: the template refinement and
-  // the descriptor rewriting are what scale. The rt column counts the
-  // uniform/urel backends' import/export round trips: the U-relations
-  // claim is that positive RA stays at 0.
+  // composes components by materializing their products in W and C, so
+  // this section stays at small fixed sizes regardless of MAYWSD_SCALE —
+  // which is the paper's point: the template refinement and the
+  // descriptor rewriting are what scale. The rt column counts the
+  // uniform/urel backends' import/export round trips: both stay at 0.
   const double kXDensity = 0.001;
   std::printf(
       "# Cross-backend: Session facade, WSD vs WSDT vs uniform vs urel "

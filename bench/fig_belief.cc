@@ -178,6 +178,13 @@ PhaseResult RunBackend(api::BackendKind kind, const char* backend,
     s.p99_ms = Percentile(latencies, 0.99);
     s.throughput = static_cast<double>(ops) / s.seconds;
     s.round_trips = hero->session().Stats().round_trips;
+    // Guarded modifies and deletes are native rewritings on the uniform
+    // store: a move must not pay an import → template → export round trip.
+    if (kind == api::BackendKind::kUniform && s.round_trips != 0) {
+      std::fprintf(stderr, "uniform move_apply paid %llu round trips\n",
+                   static_cast<unsigned long long>(s.round_trips));
+      out.ok = false;
+    }
     out.samples.push_back(std::move(s));
   }
 

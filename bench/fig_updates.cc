@@ -157,8 +157,7 @@ int main(int argc, char** argv) {
       report("modify", 1, t.Seconds());
 
       // World-conditional modify: on fully certain data the guard decides
-      // uniformly, but the condition plan still runs through the engine
-      // (and the uniform backend pays its fallback round trip).
+      // uniformly, but the condition plan still runs through the engine.
       t.Reset();
       if (!apply(UpdateOp::ModifyWhere("R",
                                        Predicate::Cmp("RACE", CmpOp::kEq,

@@ -116,8 +116,8 @@ struct SessionStats {
   uint64_t guard_materializations = 0;
   uint64_t guard_shares = 0;
   /// Import → template semantics → export round trips the backend paid for
-  /// operators outside its native fragment (uniform and urel backends;
-  /// always 0 for wsd/wsdt).
+  /// operators outside its native fragment (urel, past its expansion cap;
+  /// always 0 for wsd, wsdt and uniform).
   uint64_t round_trips = 0;
   /// Interned component-store counters, snapshotted from the process-wide
   /// store at Stats() time (the store is shared by every session in the

@@ -2,9 +2,7 @@
 
 #include "core/engine/shard_plan.h"
 #include "core/uniform.h"
-#include "core/wsdt_algebra.h"
 #include "core/wsdt_confidence.h"
-#include "core/wsdt_update.h"
 
 namespace maywsd::core::engine {
 
@@ -101,12 +99,7 @@ Status UniformBackend::Union(const std::string& left, const std::string& right,
 
 Status UniformBackend::Project(const std::string& src, const std::string& out,
                                const std::vector<std::string>& attrs) {
-  Status st = UniformProject(*db_, src, out, attrs);
-  if (st.code() != StatusCode::kUnsupported) return st;
-  // A dropped placeholder carries ⊥ (conditional presence): compose in the
-  // template semantics instead.
-  return Fallback(
-      [&](Wsdt& wsdt) { return WsdtProject(wsdt, src, out, attrs); });
+  return UniformProject(*db_, src, out, attrs);
 }
 
 Status UniformBackend::Rename(
@@ -118,32 +111,12 @@ Status UniformBackend::Rename(
 Status UniformBackend::Difference(const std::string& left,
                                   const std::string& right,
                                   const std::string& out) {
-  return Fallback(
-      [&](Wsdt& wsdt) { return WsdtDifference(wsdt, left, right, out); });
+  return UniformDifference(*db_, left, right, out);
 }
 
 Status UniformBackend::ApplyUpdate(const rel::UpdateOp& op,
                                    const std::string& guard) {
-  if (guard.empty()) {
-    // The purely relational fragment runs directly on the store.
-    Status st;
-    switch (op.kind()) {
-      case rel::UpdateOp::Kind::kInsert:
-        return UniformInsert(*db_, op.relation(), op.tuples());
-      case rel::UpdateOp::Kind::kDelete:
-        st = UniformDeleteWhere(*db_, op.relation(), op.predicate());
-        break;
-      case rel::UpdateOp::Kind::kModify:
-        st = UniformModifyWhere(*db_, op.relation(), op.predicate(),
-                                op.assignments());
-        break;
-    }
-    if (st.code() != StatusCode::kUnsupported) return st;
-  }
-  // World-conditional updates and '?'-cell mutations compose components:
-  // one import → WSDT update → export round trip, like the query fallback.
-  return Fallback(
-      [&](Wsdt& wsdt) { return WsdtApplyUpdate(wsdt, op, guard); });
+  return UniformApplyUpdate(*db_, op, guard);
 }
 
 Status UniformBackend::Drop(const std::string& name) {
@@ -154,32 +127,32 @@ void UniformBackend::Compact() { (void)UniformCompact(*db_); }
 
 Result<rel::Relation> UniformBackend::PossibleTuples(
     const std::string& relation) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
-  return WsdtPossibleTuples(wsdt, relation);
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt slice, Slice(relation));
+  return WsdtPossibleTuples(slice, relation);
 }
 
 Result<rel::Relation> UniformBackend::PossibleTuplesWithConfidence(
     const std::string& relation) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
-  return WsdtPossibleTuplesWithConfidence(wsdt, relation);
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt slice, Slice(relation));
+  return WsdtPossibleTuplesWithConfidence(slice, relation);
 }
 
 Result<rel::Relation> UniformBackend::CertainTuples(
     const std::string& relation) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
-  return WsdtCertainTuples(wsdt, relation);
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt slice, Slice(relation));
+  return WsdtCertainTuples(slice, relation);
 }
 
 Result<double> UniformBackend::TupleConfidence(
     const std::string& relation, std::span<const rel::Value> tuple) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
-  return WsdtTupleConfidence(wsdt, relation, tuple);
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt slice, Slice(relation));
+  return WsdtTupleConfidence(slice, relation, tuple);
 }
 
 Result<bool> UniformBackend::TupleCertain(
     const std::string& relation, std::span<const rel::Value> tuple) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
-  return WsdtTupleCertain(wsdt, relation, tuple);
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt slice, Slice(relation));
+  return WsdtTupleCertain(slice, relation, tuple);
 }
 
 Result<bool> UniformBackend::RelationCertain(const std::string& name) const {
@@ -193,15 +166,11 @@ Result<std::unique_ptr<ShardPlan>> UniformBackend::PlanShards(
   return MakeUniformShardPlan(*db_, req);
 }
 
-Result<Wsdt> UniformBackend::Import() const { return ImportUniform(*db_); }
-
-Status UniformBackend::Fallback(const std::function<Status(Wsdt&)>& op) {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, ImportUniform(*db_));
-  MAYWSD_RETURN_IF_ERROR(op(wsdt));
-  MAYWSD_ASSIGN_OR_RETURN(rel::Database out, ExportUniform(wsdt));
-  *db_ = std::move(out);
-  ++round_trips_;
-  return Status::Ok();
+Result<Wsdt> UniformBackend::Slice(const std::string& relation) const {
+  if (IsSystemRelation(relation)) {
+    return Status::NotFound("relation " + relation + " is a system relation");
+  }
+  return ImportUniform(*db_, {relation});
 }
 
 }  // namespace maywsd::core::engine

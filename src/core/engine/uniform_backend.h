@@ -4,20 +4,18 @@
 //
 // The backend owns no data; it operates on a rel::Database holding the
 // template relations (leading __TID column) plus the three system
-// relations C, F and W (see core/uniform.h). The Figure 9 operators that
-// are pure row rewritings — copy, select[Aθc], product, union, rename,
-// projection of ⊥-free columns, drop — run directly against those
-// relations through core/uniform. The operators that need component
-// composition (select[AθB], difference, ⊥-carrying projection) fall back
-// to the template semantics: the store is imported as a WSDT, the
-// operator runs there, and the result is re-exported — exactly the escape
-// hatch the prototype used for the operations outside the purely
-// relational fragment. System relations are hidden from the catalog.
+// relations C, F and W (see core/uniform.h). Every Figure 9 operator and
+// every update — select[AθB], ⊥-carrying projection, difference and
+// world-conditional updates included — runs directly against those
+// relations through core/uniform; the store is never rebuilt from a WSDT,
+// so RoundTrips() stays 0. Answers import one relation's slice of the
+// store (its template, F and C rows, and the W rows of the components
+// they reference) and run the Section 6 confidence functions on it.
+// System relations are hidden from the catalog.
 
 #ifndef MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_
 #define MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,12 +72,9 @@ class UniformBackend : public WorldSetOps {
   Result<bool> TupleCertain(const std::string& relation,
                             std::span<const rel::Value> tuple) const override;
 
-  /// Updates run inside the C/F/W store where they are pure row
-  /// rewritings (unconditional inserts; deletes and modifies whose
-  /// predicate decides on certain template cells), and fall back to one
-  /// import → WSDT update → export round trip for everything touching
-  /// components — world-conditional updates and '?'-cell modifies —
-  /// mirroring the query fallback.
+  /// Updates run inside the C/F/W store (UniformApplyUpdate): guarded
+  /// inserts, deletes and modifies, and '?'-cell predicates and
+  /// assignments, are row rewritings of the template and of C/F/W.
   Status ApplyUpdate(const rel::UpdateOp& op,
                      const std::string& guard) override;
 
@@ -87,18 +82,13 @@ class UniformBackend : public WorldSetOps {
   Result<std::unique_ptr<ShardPlan>> PlanShards(
       const ShardRequest& req) override;
 
-  uint64_t RoundTrips() const override { return round_trips_; }
-
  private:
-  /// Imports the whole store as a WSDT (templates stripped of __TID).
-  Result<Wsdt> Import() const;
-
-  /// Runs `op` on the imported WSDT and re-exports the store — the
-  /// template-semantics fallback for non-relational operators.
-  Status Fallback(const std::function<Status(Wsdt&)>& op);
+  /// The WSDT of `relation` alone: its template, F and C rows, and the W
+  /// rows of the components they reference — each component marginalized
+  /// onto the relation's fields, which is exact for its answers.
+  Result<Wsdt> Slice(const std::string& relation) const;
 
   rel::Database* db_;
-  uint64_t round_trips_ = 0;
 };
 
 }  // namespace maywsd::core::engine

@@ -1,13 +1,15 @@
 #include "core/uniform.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "common/hash.h"
 #include "rel/eval.h"
-#include "rel/index.h"
 #include "core/wsdt_algebra.h"
 
 namespace maywsd::core {
@@ -35,10 +37,359 @@ rel::Schema WSchema() {
                       rel::Attribute("PR", rel::AttrType::kDouble)});
 }
 
-/// Cap on the local-world count of a component product (select[AθB] over
-/// placeholders of independent components) — the same blow-up class the
-/// world-enumeration guards protect against.
+bool IsSystemName(const std::string& name) {
+  return name == kUniformC || name == kUniformF || name == kUniformW;
+}
+
+/// Fails unless `tmpl` carries the leading TID column of a template.
+Status CheckTemplate(const rel::Relation& tmpl) {
+  auto tid_idx = tmpl.schema().IndexOf(kTidColumn);
+  if (!tid_idx || *tid_idx != 0) {
+    return Status::InvalidArgument("template " + tmpl.name() +
+                                   " lacks a leading TID column");
+  }
+  return Status::Ok();
+}
+
+/// The template's attributes without its TID column.
+rel::Schema LogicalSchema(const rel::Relation& tmpl) {
+  return rel::Schema(std::vector<rel::Attribute>(
+      tmpl.schema().attrs().begin() + 1, tmpl.schema().attrs().end()));
+}
+
+/// Cap on the local-world count of a component product (the relational
+/// compose behind select[AθB], ⊥-projection, difference and guarded
+/// updates) — the same blow-up class the world-enumeration guards protect
+/// against.
 constexpr size_t kMaxComposedWorlds = size_t{1} << 20;
+
+/// One field (REL, TID, ATTR) of the store; REL and ATTR are interned.
+struct UField {
+  Symbol rel = 0;
+  int64_t tid = 0;
+  Symbol attr = 0;
+
+  bool operator==(const UField&) const = default;
+};
+
+struct UFieldHash {
+  size_t operator()(const UField& f) const {
+    size_t seed = f.rel;
+    HashCombine(seed, static_cast<size_t>(f.tid));
+    HashCombine(seed, f.attr);
+    return seed;
+  }
+};
+
+/// The field named by the leading (REL, TID, ATTR) columns of an F/C row.
+UField RowField(rel::TupleRef row) {
+  return {row[0].AsSymbol(), row[1].AsInt(), row[2].AsSymbol()};
+}
+
+/// A field's F and C entries: its component and one (LWID, VAL) pair per
+/// C row (a local world without one encodes ⊥ — the tuple is absent).
+struct FieldEntry {
+  int64_t cid = -1;
+  std::vector<std::pair<int64_t, rel::Value>> values;
+};
+
+using FieldIndex = std::unordered_map<UField, FieldEntry, UFieldHash>;
+
+/// Indexes the F and C entries of every field `want(UField)` accepts.
+template <typename Want>
+FieldIndex IndexFields(const rel::Relation& f_rel, const rel::Relation& c_rel,
+                       Want&& want) {
+  FieldIndex index;
+  for (size_t r = 0; r < f_rel.NumRows(); ++r) {
+    rel::TupleRef row = f_rel.row(r);
+    UField field = RowField(row);
+    if (want(field)) index[field].cid = row[3].AsInt();
+  }
+  for (size_t r = 0; r < c_rel.NumRows(); ++r) {
+    rel::TupleRef row = c_rel.row(r);
+    UField field = RowField(row);
+    if (want(field)) index[field].values.emplace_back(row[3].AsInt(), row[4]);
+  }
+  return index;
+}
+
+/// The F/C entry of a '?' cell; Internal when F does not cover it.
+Result<const FieldEntry*> EntryOf(const FieldIndex& fields,
+                                  const UField& field) {
+  auto it = fields.find(field);
+  if (it == fields.end() || it->second.cid < 0) {
+    return Status::Internal("placeholder " +
+                            std::string(SymbolName(field.rel)) + ".t" +
+                            std::to_string(field.tid) + "." +
+                            std::string(SymbolName(field.attr)) +
+                            " has no F row");
+  }
+  return &it->second;
+}
+
+/// W as the sorted local-world list of every component.
+class WorldIndex {
+ public:
+  static constexpr size_t kNpos = static_cast<size_t>(-1);
+
+  WorldIndex() = default;
+  explicit WorldIndex(const rel::Relation& w_rel) {
+    for (size_t r = 0; r < w_rel.NumRows(); ++r) {
+      lwids_[w_rel.row(r)[0].AsInt()].push_back(w_rel.row(r)[1].AsInt());
+    }
+    for (auto& [cid, lwids] : lwids_) std::sort(lwids.begin(), lwids.end());
+  }
+
+  /// The LWIDs of `cid` (empty when W does not declare it).
+  const std::vector<int64_t>& Lwids(int64_t cid) const {
+    static const std::vector<int64_t> kNone;
+    auto it = lwids_.find(cid);
+    return it == lwids_.end() ? kNone : it->second;
+  }
+
+  /// Position of `lwid` within Lwids(cid), or kNpos.
+  size_t Position(int64_t cid, int64_t lwid) const {
+    const std::vector<int64_t>& lwids = Lwids(cid);
+    auto it = std::lower_bound(lwids.begin(), lwids.end(), lwid);
+    return it != lwids.end() && *it == lwid
+               ? static_cast<size_t>(it - lwids.begin())
+               : kNpos;
+  }
+
+  /// True when the field lacks a C row in some local world of its
+  /// component, i.e. it encodes conditional presence.
+  bool CarriesBottom(const FieldEntry& entry) const {
+    return entry.values.size() < Lwids(entry.cid).size();
+  }
+
+  /// The field's value per position of Lwids(entry.cid); nullptr = ⊥.
+  std::vector<const rel::Value*> Dense(const FieldEntry& entry) const {
+    std::vector<const rel::Value*> out(Lwids(entry.cid).size(), nullptr);
+    for (const auto& [lwid, value] : entry.values) {
+      size_t pos = Position(entry.cid, lwid);
+      if (pos != kNpos) out[pos] = &value;
+    }
+    return out;
+  }
+
+ private:
+  std::unordered_map<int64_t, std::vector<int64_t>> lwids_;
+};
+
+/// Union-find over CIDs: the components an operation has to compose.
+/// The smallest CID of a class is its representative.
+class CidUnion {
+ public:
+  int64_t Find(int64_t x) {
+    auto it = parent_.try_emplace(x, x).first;
+    while (it->second != x) {
+      auto up = parent_.find(it->second);
+      it->second = up->second;  // path halving
+      x = it->second;
+      it = parent_.find(x);
+    }
+    return x;
+  }
+
+  void Merge(int64_t a, int64_t b) {
+    a = Find(a);
+    b = Find(b);
+    if (a == b) return;
+    if (b < a) std::swap(a, b);
+    parent_[b] = a;
+  }
+
+  /// The classes of two or more CIDs, members sorted (representative
+  /// first).
+  std::vector<std::vector<int64_t>> Classes() {
+    std::map<int64_t, std::vector<int64_t>> by_root;
+    std::vector<int64_t> cids;
+    for (const auto& [cid, parent] : parent_) cids.push_back(cid);
+    for (int64_t cid : cids) by_root[Find(cid)].push_back(cid);
+    std::vector<std::vector<int64_t>> out;
+    for (auto& [root, members] : by_root) {
+      if (members.size() < 2) continue;
+      std::sort(members.begin(), members.end());
+      out.push_back(std::move(members));
+    }
+    return out;
+  }
+
+ private:
+  std::unordered_map<int64_t, int64_t> parent_;
+};
+
+/// The relational compose: merges every class of `merge` into its
+/// representative by the independence product. W's rows of a class become
+/// the mixed-radix product of its members' local worlds (last member
+/// varying fastest, probabilities multiplied), every F row of a member —
+/// of any relation, the merge is a global re-factorization — is remapped
+/// to the representative, and each member C row is expanded across the
+/// product worlds its local world takes part in. Fails with
+/// ResourceExhausted (naming `what`) before touching any relation when a
+/// product passes kMaxComposedWorlds. Returns whether anything merged.
+Result<bool> ComposeComponents(rel::Relation& c_rel, rel::Relation& f_rel,
+                               rel::Relation& w_rel, CidUnion& merge,
+                               std::string_view what) {
+  std::vector<std::vector<int64_t>> classes = merge.Classes();
+  if (classes.empty()) return false;
+  std::unordered_map<int64_t, std::vector<std::pair<int64_t, double>>> worlds;
+  for (const auto& members : classes) {
+    for (int64_t m : members) worlds[m];
+  }
+  for (size_t r = 0; r < w_rel.NumRows(); ++r) {
+    rel::TupleRef row = w_rel.row(r);
+    auto it = worlds.find(row[0].AsInt());
+    if (it != worlds.end()) {
+      it->second.emplace_back(row[1].AsInt(), row[2].AsDouble());
+    }
+  }
+  for (auto& [cid, lws] : worlds) {
+    if (lws.empty()) {
+      return Status::Internal("component " + std::to_string(cid) +
+                              " has no local worlds in W");
+    }
+    std::sort(lws.begin(), lws.end());
+  }
+  for (const auto& members : classes) {
+    size_t total = 1;
+    for (int64_t m : members) {
+      total *= worlds[m].size();
+      if (total > kMaxComposedWorlds) {
+        return Status::ResourceExhausted(
+            std::string(what) + " component product exceeds " +
+            std::to_string(kMaxComposedWorlds) + " local worlds");
+      }
+    }
+  }
+
+  // member CID → old LWID → the product LWIDs it participates in.
+  std::unordered_map<int64_t, std::unordered_map<int64_t, std::vector<int64_t>>>
+      fanout;
+  std::vector<std::pair<int64_t, std::vector<double>>> products;
+  for (const auto& members : classes) {
+    size_t total = 1;
+    for (int64_t m : members) total *= worlds[m].size();
+    std::vector<double> probs(total);
+    for (size_t flat = 0; flat < total; ++flat) {
+      double pr = 1.0;
+      size_t rem = flat;
+      for (size_t p = members.size(); p-- > 0;) {
+        const auto& lws = worlds[members[p]];
+        size_t i = rem % lws.size();
+        rem /= lws.size();
+        pr *= lws[i].second;
+        fanout[members[p]][lws[i].first].push_back(static_cast<int64_t>(flat));
+      }
+      probs[flat] = pr;
+    }
+    products.emplace_back(members[0], std::move(probs));
+  }
+  w_rel.RetainRows(
+      [&](rel::TupleRef row) { return !worlds.count(row[0].AsInt()); });
+  for (const auto& [rep, probs] : products) {
+    for (size_t flat = 0; flat < probs.size(); ++flat) {
+      w_rel.AppendRow({rel::Value::Int(rep),
+                       rel::Value::Int(static_cast<int64_t>(flat)),
+                       rel::Value::Double(probs[flat])});
+    }
+  }
+  // Remap the members' F rows, remembering which member each field left.
+  std::unordered_map<UField, int64_t, UFieldHash> field_member;
+  for (size_t r = 0; r < f_rel.NumRows(); ++r) {
+    int64_t cid = f_rel.row(r)[3].AsInt();
+    if (!worlds.count(cid)) continue;
+    field_member[RowField(f_rel.row(r))] = cid;
+    f_rel.SetCell(r, 3, rel::Value::Int(merge.Find(cid)));
+  }
+  // Expand the members' C rows across the product worlds they survive in.
+  std::vector<rel::Value> expanded;
+  c_rel.RetainRows([&](rel::TupleRef row) {
+    auto it = field_member.find(RowField(row));
+    if (it == field_member.end()) return true;
+    for (int64_t lwid : fanout[it->second][row[3].AsInt()]) {
+      expanded.insert(expanded.end(),
+                      {row[0], row[1], row[2], rel::Value::Int(lwid), row[4]});
+    }
+    return false;
+  });
+  for (size_t i = 0; i < expanded.size(); i += 5) {
+    c_rel.AppendRow(std::span<const rel::Value>(expanded.data() + i, 5));
+  }
+  return true;
+}
+
+/// C and F changes an operation stages while it reads the store, installed
+/// in one pass once nothing can fail any more: the C rows of `drop_c`
+/// (field → LWIDs) go, then the staged rows are appended.
+class StoreEdits {
+ public:
+  void AddF(const UField& f, int64_t cid) {
+    f_add_.insert(f_add_.end(),
+                  {rel::Value::StringSymbol(f.rel), rel::Value::Int(f.tid),
+                   rel::Value::StringSymbol(f.attr), rel::Value::Int(cid)});
+  }
+  void AddC(const UField& f, int64_t lwid, const rel::Value& v) {
+    c_add_.insert(c_add_.end(),
+                  {rel::Value::StringSymbol(f.rel), rel::Value::Int(f.tid),
+                   rel::Value::StringSymbol(f.attr), rel::Value::Int(lwid),
+                   v});
+  }
+  void DropC(const UField& f, int64_t lwid) { drop_c_[f].push_back(lwid); }
+
+  void Apply(rel::Relation& c_rel, rel::Relation& f_rel) {
+    if (!drop_c_.empty()) {
+      for (auto& [field, lwids] : drop_c_) {
+        std::sort(lwids.begin(), lwids.end());
+      }
+      c_rel.RetainRows([&](rel::TupleRef row) {
+        auto it = drop_c_.find(RowField(row));
+        return it == drop_c_.end() ||
+               !std::binary_search(it->second.begin(), it->second.end(),
+                                   row[3].AsInt());
+      });
+    }
+    Append(c_rel, c_add_);
+    Append(f_rel, f_add_);
+  }
+
+ private:
+  static void Append(rel::Relation& rel, const std::vector<rel::Value>& flat) {
+    const size_t k = rel.arity();
+    for (size_t i = 0; i < flat.size(); i += k) {
+      rel.AppendRow(std::span<const rel::Value>(flat.data() + i, k));
+    }
+  }
+
+  std::unordered_map<UField, std::vector<int64_t>, UFieldHash> drop_c_;
+  std::vector<rel::Value> c_add_;
+  std::vector<rel::Value> f_add_;
+};
+
+/// Handles on the three system relations.
+struct SystemRels {
+  rel::Relation* c;
+  rel::Relation* f;
+  rel::Relation* w;
+};
+
+Result<SystemRels> GetSystemRels(rel::Database& db) {
+  SystemRels sys;
+  MAYWSD_ASSIGN_OR_RETURN(sys.c, db.GetMutableRelation(kUniformC));
+  MAYWSD_ASSIGN_OR_RETURN(sys.f, db.GetMutableRelation(kUniformF));
+  MAYWSD_ASSIGN_OR_RETURN(sys.w, db.GetMutableRelation(kUniformW));
+  return sys;
+}
+
+/// Removes the F and C rows of relation `rel`'s tuples in `tids`.
+void DropFieldRows(rel::Relation& c_rel, rel::Relation& f_rel, Symbol rel,
+                   const std::unordered_set<int64_t>& tids) {
+  auto keep = [&](rel::TupleRef row) {
+    return row[0].AsSymbol() != rel || !tids.count(row[1].AsInt());
+  };
+  f_rel.RetainRows(keep);
+  c_rel.RetainRows(keep);
+}
 
 /// Steps 4–6 of the Figure 16 select rewritings, shared by the Aθc and AθB
 /// variants: propagate-⊥ among same-component same-tuple placeholders of
@@ -48,102 +399,56 @@ constexpr size_t kMaxComposedWorlds = size_t{1} << 20;
 Status FinishUniformSelect(rel::Database& db, rel::Relation p0,
                            const std::string& out_rel,
                            const std::vector<std::string>& required_attrs) {
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* f_rel,
-                          db.GetMutableRelation(kUniformF));
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* c_rel,
-                          db.GetMutableRelation(kUniformC));
-  rel::Value out_sym = rel::Value::String(out_rel);
-  // Step 4: remove incomplete world tuples — if placeholder (P,t,X) shares
-  // component k with (P,t,Y) and world w has no value for Y, drop the other
-  // placeholders' values for w too. (This is the relational propagate-⊥.)
-  // Index the P-entries of C and F.
-  std::map<int64_t, std::vector<std::pair<int64_t, std::string>>> cid_fields;
-  for (size_t r = 0; r < f_rel->NumRows(); ++r) {
-    rel::TupleRef row = f_rel->row(r);
-    if (!(row[0] == out_sym)) continue;
-    cid_fields[row[3].AsInt()].push_back(
-        {row[1].AsInt(), std::string(row[2].AsStringView())});
+  MAYWSD_ASSIGN_OR_RETURN(SystemRels sys, GetSystemRels(db));
+  Symbol out_sym = InternString(out_rel);
+  FieldIndex fields = IndexFields(
+      *sys.f, *sys.c, [&](const UField& x) { return x.rel == out_sym; });
+  // Step 4: the relational propagate-⊥ — if placeholder (P,t,X) shares
+  // component k with (P,t,Y) and world w has no value for Y, drop X's
+  // value for w too: each (tuple, component) group keeps only the worlds
+  // where every member has a value.
+  std::map<std::pair<int64_t, int64_t>,
+           std::vector<std::pair<const UField*, FieldEntry*>>>
+      siblings;
+  for (auto& [field, entry] : fields) {
+    siblings[{field.tid, entry.cid}].emplace_back(&field, &entry);
   }
-  // Values present per (t, attr): set of worlds.
-  std::map<std::pair<int64_t, std::string>, std::set<int64_t>> have;
-  for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-    rel::TupleRef row = c_rel->row(r);
-    if (!(row[0] == out_sym)) continue;
-    have[{row[1].AsInt(), std::string(row[2].AsStringView())}].insert(
-        row[3].AsInt());
-  }
-  // Worlds to drop per (t, attr): those where a same-tuple same-component
-  // sibling lacks a value.
-  std::map<std::pair<int64_t, std::string>, std::set<int64_t>> drop;
-  for (const auto& [cid, fields] : cid_fields) {
-    for (const auto& fx : fields) {
-      for (const auto& fy : fields) {
-        if (fx == fy || fx.first != fy.first) continue;
-        // Worlds where fx has a value but fy does not.
-        const std::set<int64_t>& wx = have[fx];
-        const std::set<int64_t>& wy = have[fy];
-        for (int64_t w : wx) {
-          if (!wy.count(w)) drop[fx].insert(w);
-        }
-      }
+  StoreEdits edits;
+  for (auto& [key, group] : siblings) {
+    if (group.size() < 2) continue;
+    std::unordered_map<int64_t, size_t> have;
+    for (const auto& [field, entry] : group) {
+      for (const auto& [lwid, v] : entry->values) ++have[lwid];
+    }
+    for (auto& [field, entry] : group) {
+      std::erase_if(entry->values, [&](const auto& lv) {
+        if (have[lv.first] == group.size()) return false;
+        edits.DropC(*field, lv.first);
+        return true;
+      });
     }
   }
-  if (!drop.empty()) {
-    rel::Relation next(c_rel->schema(), c_rel->name());
-    for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-      rel::TupleRef row = c_rel->row(r);
-      if (row[0] == out_sym) {
-        auto it = drop.find(
-            {row[1].AsInt(), std::string(row[2].AsStringView())});
-        if (it != drop.end() && it->second.count(row[3].AsInt())) continue;
-      }
-      next.AppendRow(row.span());
-    }
-    *c_rel = std::move(next);
-    // Recompute surviving worlds.
-    have.clear();
-    for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-      rel::TupleRef row = c_rel->row(r);
-      if (!(row[0] == out_sym)) continue;
-      have[{row[1].AsInt(), std::string(row[2].AsStringView())}].insert(
-          row[3].AsInt());
-    }
-  }
+  edits.Apply(*sys.c, *sys.f);
   // Steps 5–6: tuples whose required placeholder lost every value disappear;
   // drop their placeholders from F and their values from C.
-  std::set<int64_t> dead_tids;
+  std::unordered_set<int64_t> dead_tids;
   for (const std::string& attr : required_attrs) {
     auto a_idx = p0.schema().IndexOf(attr);
     if (!a_idx) return Status::NotFound("attribute " + attr);
+    Symbol attr_sym = InternString(attr);
     for (size_t r = 0; r < p0.NumRows(); ++r) {
       rel::TupleRef row = p0.row(r);
       if (!row[*a_idx].is_question()) continue;
-      if (have[{row[0].AsInt(), attr}].empty()) {
+      auto it = fields.find({out_sym, row[0].AsInt(), attr_sym});
+      if (it == fields.end() || it->second.values.empty()) {
         dead_tids.insert(row[0].AsInt());
       }
     }
   }
   if (!dead_tids.empty()) {
-    rel::Relation next_c(c_rel->schema(), c_rel->name());
-    for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-      rel::TupleRef row = c_rel->row(r);
-      if (row[0] == out_sym && dead_tids.count(row[1].AsInt())) continue;
-      next_c.AppendRow(row.span());
-    }
-    *c_rel = std::move(next_c);
-    rel::Relation next_f(f_rel->schema(), f_rel->name());
-    for (size_t r = 0; r < f_rel->NumRows(); ++r) {
-      rel::TupleRef row = f_rel->row(r);
-      if (row[0] == out_sym && dead_tids.count(row[1].AsInt())) continue;
-      next_f.AppendRow(row.span());
-    }
-    *f_rel = std::move(next_f);
-    rel::Relation next_p(p0.schema(), p0.name());
-    for (size_t r = 0; r < p0.NumRows(); ++r) {
-      if (dead_tids.count(p0.row(r)[0].AsInt())) continue;
-      next_p.AppendRow(p0.row(r).span());
-    }
-    p0 = std::move(next_p);
+    DropFieldRows(*sys.c, *sys.f, out_sym, dead_tids);
+    p0.RetainRows(
+        [&](rel::TupleRef row) { return !dead_tids.count(row[0].AsInt()); });
   }
   return db.AddRelation(std::move(p0));
 }
@@ -206,29 +511,26 @@ Result<rel::Database> ExportUniform(const Wsdt& wsdt) {
 
 Result<Wsdt> ImportUniform(const rel::Database& db,
                            std::vector<std::string> templates) {
-  if (templates.empty()) {
+  // A scoped import reads only the named relations' slice of F and C.
+  const bool scoped = !templates.empty();
+  if (!scoped) {
     for (const std::string& name : db.Names()) {
-      if (name != kUniformC && name != kUniformF && name != kUniformW) {
-        templates.push_back(name);
-      }
+      if (!IsSystemName(name)) templates.push_back(name);
     }
   }
   Wsdt wsdt;
   // Template relations: strip the TID column; remember tid → row mapping.
-  std::map<std::pair<std::string, int64_t>, TupleId> tid_map;
+  std::unordered_map<Symbol, std::unordered_map<int64_t, TupleId>> tid_map;
   for (const std::string& name : templates) {
     MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* in, db.GetRelation(name));
-    auto tid_idx = in->schema().IndexOf(kTidColumn);
-    if (!tid_idx || *tid_idx != 0) {
-      return Status::InvalidArgument("template " + name +
-                                     " lacks a leading TID column");
-    }
-    std::vector<rel::Attribute> attrs(in->schema().attrs().begin() + 1,
-                                      in->schema().attrs().end());
-    rel::Relation tmpl{rel::Schema(std::move(attrs)), name};
+    MAYWSD_RETURN_IF_ERROR(CheckTemplate(*in));
+    rel::Relation tmpl{LogicalSchema(*in), name};
+    tmpl.Reserve(in->NumRows());
+    std::unordered_map<int64_t, TupleId>& tids = tid_map[InternString(name)];
+    tids.reserve(in->NumRows());
     std::vector<rel::Value> row(tmpl.arity());
     for (size_t r = 0; r < in->NumRows(); ++r) {
-      tid_map[{name, in->row(r)[0].AsInt()}] = static_cast<TupleId>(r);
+      tids[in->row(r)[0].AsInt()] = static_cast<TupleId>(r);
       for (size_t a = 0; a < tmpl.arity(); ++a) row[a] = in->row(r)[a + 1];
       tmpl.AppendRow(row);
     }
@@ -241,63 +543,95 @@ Result<Wsdt> ImportUniform(const rel::Database& db,
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* w_rel,
                           db.GetRelation(kUniformW));
 
-  // Group fields by CID (sorted for determinism).
-  std::map<int64_t, std::vector<FieldKey>> comp_fields;
-  std::map<int64_t, std::map<std::pair<std::string, std::string>,
-                             std::pair<int64_t, TupleId>>> unused;
-  (void)unused;
+  // Resolves the tuple an F/C row names: nullopt for a relation outside a
+  // scoped import, an error for a dangling reference.
+  auto resolve = [&](rel::TupleRef row,
+                     const char* which) -> Result<std::optional<TupleId>> {
+    auto rel_it = tid_map.find(row[0].AsSymbol());
+    if (rel_it == tid_map.end()) {
+      if (scoped) return std::optional<TupleId>();
+      return Status::InvalidArgument(std::string(which) +
+                                     " references unknown relation " +
+                                     std::string(row[0].AsStringView()));
+    }
+    auto it = rel_it->second.find(row[1].AsInt());
+    if (it == rel_it->second.end()) {
+      return Status::InvalidArgument(std::string(which) +
+                                     " references unknown tuple in " +
+                                     std::string(row[0].AsStringView()));
+    }
+    return std::optional<TupleId>(it->second);
+  };
+
+  // Group fields by CID (sorted for determinism), remembering each
+  // field's stored (REL, TID, ATTR) so C rows find their column directly.
+  std::map<int64_t, std::vector<std::pair<FieldKey, UField>>> comp_fields;
   for (size_t r = 0; r < f_rel->NumRows(); ++r) {
     rel::TupleRef row = f_rel->row(r);
-    std::string rel_name(row[0].AsStringView());
-    auto it = tid_map.find({rel_name, row[1].AsInt()});
-    if (it == tid_map.end()) {
-      return Status::InvalidArgument("F references unknown tuple in " +
-                                     rel_name);
-    }
-    comp_fields[row[3].AsInt()].push_back(
-        FieldKey(InternString(rel_name), it->second, row[2].AsSymbol()));
+    MAYWSD_ASSIGN_OR_RETURN(std::optional<TupleId> tuple, resolve(row, "F"));
+    if (!tuple) continue;
+    comp_fields[row[3].AsInt()].emplace_back(
+        FieldKey(row[0].AsSymbol(), *tuple, row[2].AsSymbol()),
+        RowField(row));
   }
+  // Local worlds of the referenced components, and each imported field's
+  // (component, column).
+  struct Slot {
+    std::vector<std::pair<int64_t, double>> worlds;
+    std::vector<rel::Value> values;  // worlds × fields, ⊥-initialized
+  };
+  std::unordered_map<int64_t, Slot> slots;
+  std::unordered_map<UField, std::pair<Slot*, size_t>, UFieldHash> columns;
   for (auto& [cid, fields] : comp_fields) {
-    std::sort(fields.begin(), fields.end());
+    std::sort(fields.begin(), fields.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (size_t col = 0; col < fields.size(); ++col) {
+      columns[fields[col].second] = {&slots[cid], col};
+    }
   }
-  // Local worlds per component.
-  std::map<int64_t, std::vector<std::pair<int64_t, double>>> comp_worlds;
   for (size_t r = 0; r < w_rel->NumRows(); ++r) {
     rel::TupleRef row = w_rel->row(r);
-    comp_worlds[row[0].AsInt()].emplace_back(row[1].AsInt(),
-                                             row[2].AsDouble());
-  }
-  for (auto& [cid, worlds] : comp_worlds) {
-    std::sort(worlds.begin(), worlds.end());
-  }
-  // Values: (rel, tid, attr, lwid) → value.
-  std::map<std::tuple<Symbol, TupleId, Symbol, int64_t>, rel::Value> values;
-  for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-    rel::TupleRef row = c_rel->row(r);
-    std::string rel_name(row[0].AsStringView());
-    auto it = tid_map.find({rel_name, row[1].AsInt()});
-    if (it == tid_map.end()) {
-      return Status::InvalidArgument("C references unknown tuple in " +
-                                     rel_name);
-    }
-    values[{InternString(rel_name), it->second, row[2].AsSymbol(),
-            row[3].AsInt()}] = row[4];
+    auto it = slots.find(row[0].AsInt());
+    if (it == slots.end()) continue;
+    it->second.worlds.emplace_back(row[1].AsInt(), row[2].AsDouble());
   }
   for (const auto& [cid, fields] : comp_fields) {
-    auto worlds_it = comp_worlds.find(cid);
-    if (worlds_it == comp_worlds.end()) {
+    Slot& slot = slots[cid];
+    if (slot.worlds.empty()) {
       return Status::InvalidArgument("component " + std::to_string(cid) +
                                      " has no worlds in W");
     }
-    Component comp(fields);
-    std::vector<rel::Value> row(fields.size());
-    for (const auto& [lwid, prob] : worlds_it->second) {
-      for (size_t c = 0; c < fields.size(); ++c) {
-        auto v = values.find(
-            {fields[c].rel, fields[c].tuple, fields[c].attr, lwid});
-        row[c] = (v == values.end()) ? rel::Value::Bottom() : v->second;
-      }
-      comp.AddWorld(row, prob);
+    std::sort(slot.worlds.begin(), slot.worlds.end());
+    slot.values.assign(slot.worlds.size() * fields.size(),
+                       rel::Value::Bottom());
+  }
+  for (size_t r = 0; r < c_rel->NumRows(); ++r) {
+    rel::TupleRef row = c_rel->row(r);
+    MAYWSD_ASSIGN_OR_RETURN(std::optional<TupleId> tuple, resolve(row, "C"));
+    if (!tuple) continue;
+    auto it = columns.find(RowField(row));
+    if (it == columns.end()) continue;  // value of an uncovered field
+    auto [slot, col] = it->second;
+    auto world = std::lower_bound(
+        slot->worlds.begin(), slot->worlds.end(),
+        std::pair<int64_t, double>(row[3].AsInt(), -1.0));
+    if (world == slot->worlds.end() || world->first != row[3].AsInt()) {
+      continue;  // LWID its component does not declare
+    }
+    size_t width = slot->values.size() / slot->worlds.size();
+    slot->values[static_cast<size_t>(world - slot->worlds.begin()) * width +
+                 col] = row[4];
+  }
+  for (const auto& [cid, fields] : comp_fields) {
+    const Slot& slot = slots[cid];
+    const size_t width = fields.size();
+    std::vector<FieldKey> keys;
+    for (const auto& [key, field] : fields) keys.push_back(key);
+    Component comp(std::move(keys));
+    for (size_t w = 0; w < slot.worlds.size(); ++w) {
+      comp.AddWorld(std::span<const rel::Value>(
+                        slot.values.data() + w * width, width),
+                    slot.worlds[w].second);
     }
     MAYWSD_RETURN_IF_ERROR(wsdt.AddComponent(std::move(comp)));
   }
@@ -360,13 +694,11 @@ Status UniformSelectAttrAttr(rel::Database& db, const std::string& in_rel,
                              const std::string& attr_a, rel::CmpOp op,
                              const std::string& attr_b) {
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* in, db.GetRelation(in_rel));
-  auto tid_idx = in->schema().IndexOf(kTidColumn);
-  if (!tid_idx || *tid_idx != 0) {
-    return Status::InvalidArgument("template " + in_rel +
-                                   " lacks a leading TID column");
+  MAYWSD_RETURN_IF_ERROR(CheckTemplate(*in));
+  if (db.Contains(out_rel)) {
+    return Status::AlreadyExists("relation " + out_rel);
   }
-  rel::Schema logical(std::vector<rel::Attribute>(
-      in->schema().attrs().begin() + 1, in->schema().attrs().end()));
+  rel::Schema logical = LogicalSchema(*in);
   auto a_col = logical.IndexOf(attr_a);
   auto b_col = logical.IndexOf(attr_b);
   if (!a_col) return Status::NotFound("attribute " + attr_a);
@@ -377,7 +709,8 @@ Status UniformSelectAttrAttr(rel::Database& db, const std::string& in_rel,
   // (a placeholder at A or B) for per-local-world filtering; decided-false
   // rows disappear in every world.
   rel::Relation p0(in->schema(), out_rel);
-  std::set<int64_t> tids;
+  std::unordered_set<int64_t> tids;
+  std::unordered_set<int64_t> undecided_tids;
   std::vector<size_t> undecided;  // row indexes into p0
   for (size_t r = 0; r < in->NumRows(); ++r) {
     rel::TupleRef row = in->row(r);
@@ -385,223 +718,111 @@ Status UniformSelectAttrAttr(rel::Database& db, const std::string& in_rel,
     MAYWSD_ASSIGN_OR_RETURN(Tri tri,
                             TriEvalPredicate(pred, logical, logical_row));
     if (tri == Tri::kFalse) continue;
-    if (tri == Tri::kUnknown) undecided.push_back(p0.NumRows());
+    if (tri == Tri::kUnknown) {
+      undecided.push_back(p0.NumRows());
+      undecided_tids.insert(row[0].AsInt());
+    }
     p0.AppendRow(row.span());
     tids.insert(row[0].AsInt());
   }
 
-  // Steps 2–3: copy the surviving tuples' F and C entries under the output
-  // name unfiltered — the undecided rows lose values world by world below.
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* f_rel,
-                          db.GetMutableRelation(kUniformF));
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* c_rel,
-                          db.GetMutableRelation(kUniformC));
-  rel::Value in_sym = rel::Value::String(in_rel);
-  rel::Value out_sym = rel::Value::String(out_rel);
-  size_t f_rows = f_rel->NumRows();
-  for (size_t r = 0; r < f_rows; ++r) {
-    rel::TupleRef row = f_rel->row(r);
-    if (!(row[0] == in_sym) || !tids.count(row[1].AsInt())) continue;
-    f_rel->AppendRow({out_sym, row[1], row[2], row[3]});
-  }
-  size_t c_rows = c_rel->NumRows();
-  for (size_t r = 0; r < c_rows; ++r) {
-    rel::TupleRef row = c_rel->row(r);
-    if (!(row[0] == in_sym) || !tids.count(row[1].AsInt())) continue;
-    c_rel->AppendRow({out_sym, row[1], row[2], row[3], row[4]});
-  }
+  MAYWSD_ASSIGN_OR_RETURN(SystemRels sys, GetSystemRels(db));
+  Symbol in_sym = InternString(in_rel);
+  Symbol out_sym = InternString(out_rel);
+  Symbol a_sym = InternString(attr_a);
+  Symbol b_sym = InternString(attr_b);
+  auto deciding = [&](const UField& x) {
+    return x.rel == in_sym && (x.attr == a_sym || x.attr == b_sym) &&
+           undecided_tids.count(x.tid);
+  };
+  FieldIndex fields = IndexFields(*sys.f, *sys.c, deciding);
 
   // Undecided rows whose A and B placeholders live in different components
-  // correlate them: merge those components (the relational compose — an
-  // independence product that rewrites W and remaps F/C globally, exactly
-  // what the template semantics' ComposeInPlace does).
-  std::map<std::pair<int64_t, std::string>, int64_t> f_cid;  // (t,attr)→cid
-  for (size_t r = 0; r < f_rel->NumRows(); ++r) {
-    rel::TupleRef row = f_rel->row(r);
-    if (!(row[0] == out_sym)) continue;
-    f_cid[{row[1].AsInt(), std::string(row[2].AsStringView())}] =
-        row[3].AsInt();
-  }
-  std::map<int64_t, int64_t> parent;
-  auto find = [&parent](int64_t x) {
-    parent.try_emplace(x, x);
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  bool any_merge = false;
+  // correlate them: compose those components first.
+  CidUnion merge;
   for (size_t r : undecided) {
     rel::TupleRef row = p0.row(r);
-    if (!row[1 + *a_col].is_question() || !row[1 + *b_col].is_question()) {
-      continue;
-    }
-    auto ca = f_cid.find({row[0].AsInt(), attr_a});
-    auto cb = f_cid.find({row[0].AsInt(), attr_b});
-    if (ca == f_cid.end() || cb == f_cid.end()) {
-      return Status::Internal("placeholder of " + in_rel + " has no F row");
-    }
-    int64_t ra = find(ca->second);
-    int64_t rb = find(cb->second);
-    if (ra != rb) {
-      parent[rb] = ra;
-      any_merge = true;
+    int64_t cid = -1;
+    for (auto [col, sym] :
+         {std::pair{*a_col, a_sym}, std::pair{*b_col, b_sym}}) {
+      if (!row[1 + col].is_question()) continue;
+      MAYWSD_ASSIGN_OR_RETURN(const FieldEntry* e,
+                              EntryOf(fields, {in_sym, row[0].AsInt(), sym}));
+      if (cid < 0) cid = e->cid;
+      merge.Merge(cid, e->cid);
     }
   }
-  if (any_merge) {
-    std::map<int64_t, std::vector<int64_t>> classes;
-    for (const auto& [cid, unused] : parent) {
-      (void)unused;
-      classes[find(cid)].push_back(cid);
-    }
-    MAYWSD_ASSIGN_OR_RETURN(rel::Relation* w_rel,
-                            db.GetMutableRelation(kUniformW));
-    std::map<int64_t, std::vector<std::pair<int64_t, double>>> worlds;
-    for (size_t r = 0; r < w_rel->NumRows(); ++r) {
-      rel::TupleRef row = w_rel->row(r);
-      worlds[row[0].AsInt()].emplace_back(row[1].AsInt(), row[2].AsDouble());
-    }
-    for (auto& [cid, lws] : worlds) std::sort(lws.begin(), lws.end());
-    // member cid → old LWID → the product LWIDs it participates in.
-    std::map<int64_t, std::map<int64_t, std::vector<int64_t>>> fanout;
-    std::set<int64_t> members_all;
-    std::vector<std::array<rel::Value, 3>> product_rows;
-    for (auto& [rep, members] : classes) {
-      if (members.size() < 2) continue;
-      std::sort(members.begin(), members.end());
-      size_t total = 1;
-      for (int64_t m : members) {
-        total *= worlds[m].size();
-        if (total > kMaxComposedWorlds) {
-          return Status::ResourceExhausted(
-              "select[AθB] component product exceeds " +
-              std::to_string(kMaxComposedWorlds) + " local worlds");
-        }
-      }
-      // Mixed-radix enumeration, last member varying fastest; the product
-      // world's probability is the product of its members' (independence).
-      for (size_t flat = 0; flat < total; ++flat) {
-        double pr = 1.0;
-        size_t rem = flat;
-        for (size_t p = members.size(); p-- > 0;) {
-          const auto& lws = worlds[members[p]];
-          size_t i = rem % lws.size();
-          rem /= lws.size();
-          pr *= lws[i].second;
-          fanout[members[p]][lws[i].first].push_back(
-              static_cast<int64_t>(flat));
-        }
-        product_rows.push_back({rel::Value::Int(rep),
-                                rel::Value::Int(static_cast<int64_t>(flat)),
-                                rel::Value::Double(pr)});
-      }
-      for (int64_t m : members) members_all.insert(m);
-    }
-    // Rewrite W: the merged members' rows become the product rows.
-    rel::Relation next_w(w_rel->schema(), w_rel->name());
-    for (size_t r = 0; r < w_rel->NumRows(); ++r) {
-      if (members_all.count(w_rel->row(r)[0].AsInt())) continue;
-      next_w.AppendRow(w_rel->row(r).span());
-    }
-    for (const auto& row : product_rows) {
-      next_w.AppendRow({row[0], row[1], row[2]});
-    }
-    *w_rel = std::move(next_w);
-    // Remap every F row of a merged member (all relations — the merge is a
-    // global re-factorization) to the class representative, remembering
-    // which member each field belonged to.
-    std::map<std::tuple<std::string, int64_t, std::string>, int64_t>
-        field_member;
-    for (size_t r = 0; r < f_rel->NumRows(); ++r) {
-      rel::TupleRef row = f_rel->row(r);
-      int64_t cid = row[3].AsInt();
-      if (!members_all.count(cid)) continue;
-      field_member[{std::string(row[0].AsStringView()), row[1].AsInt(),
-                    std::string(row[2].AsStringView())}] = cid;
-      f_rel->SetCell(r, 3, rel::Value::Int(find(cid)));
-    }
-    // Expand the members' C rows across the product worlds they survive in.
-    rel::Relation next_c(c_rel->schema(), c_rel->name());
-    for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-      rel::TupleRef row = c_rel->row(r);
-      auto it = field_member.find({std::string(row[0].AsStringView()),
-                                   row[1].AsInt(),
-                                   std::string(row[2].AsStringView())});
-      if (it == field_member.end()) {
-        next_c.AppendRow(row.span());
-        continue;
-      }
-      for (int64_t lwid : fanout[it->second][row[3].AsInt()]) {
-        next_c.AppendRow(
-            {row[0], row[1], row[2], rel::Value::Int(lwid), row[4]});
-      }
-    }
-    *c_rel = std::move(next_c);
-    // The copied out_rel fields moved components too.
-    f_cid.clear();
-    for (size_t r = 0; r < f_rel->NumRows(); ++r) {
-      rel::TupleRef row = f_rel->row(r);
-      if (!(row[0] == out_sym)) continue;
-      f_cid[{row[1].AsInt(), std::string(row[2].AsStringView())}] =
-          row[3].AsInt();
-    }
-  }
+  MAYWSD_ASSIGN_OR_RETURN(
+      bool composed,
+      ComposeComponents(*sys.c, *sys.f, *sys.w, merge, "select[AθB]"));
+  if (composed) fields = IndexFields(*sys.f, *sys.c, deciding);
+  WorldIndex worlds(*sys.w);
 
   // Per-local-world filtering of the undecided rows: resolve A and B in
-  // each world of the (now single) deciding component and drop the output
-  // copy's placeholder values where the comparison fails. A ⊥ on either
-  // side means the source tuple is absent there — the output is too.
-  std::map<int64_t, std::vector<int64_t>> cid_lwids;
-  {
-    MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* w_ro,
-                            db.GetRelation(kUniformW));
-    for (size_t r = 0; r < w_ro->NumRows(); ++r) {
-      cid_lwids[w_ro->row(r)[0].AsInt()].push_back(w_ro->row(r)[1].AsInt());
-    }
-  }
-  std::map<std::tuple<int64_t, std::string, int64_t>, rel::Value> out_vals;
-  for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-    rel::TupleRef row = c_rel->row(r);
-    if (!(row[0] == out_sym)) continue;
-    out_vals[{row[1].AsInt(), std::string(row[2].AsStringView()),
-              row[3].AsInt()}] = row[4];
-  }
-  std::set<std::tuple<int64_t, std::string, int64_t>> drop;
+  // each world of the (now single) deciding component; the output copy of
+  // a placeholder loses its value where the comparison fails. A ⊥ on
+  // either side means the source tuple is absent there — the output is
+  // too.
+  std::unordered_map<UField, std::vector<int64_t>, UFieldHash> drop;
   for (size_t r : undecided) {
     rel::TupleRef row = p0.row(r);
     int64_t tid = row[0].AsInt();
     bool qa = row[1 + *a_col].is_question();
     bool qb = row[1 + *b_col].is_question();
-    if (!qa && !qb) continue;  // unreachable: certain rows tri-decide
-    int64_t cid = qa ? f_cid.at({tid, attr_a}) : f_cid.at({tid, attr_b});
-    auto value_at = [&](const std::string& attr,
-                        int64_t lwid) -> rel::Value {
-      auto it = out_vals.find({tid, attr, lwid});
-      return it == out_vals.end() ? rel::Value::Bottom() : it->second;
-    };
-    for (int64_t lwid : cid_lwids[cid]) {
-      rel::Value va = qa ? value_at(attr_a, lwid) : row[1 + *a_col];
-      rel::Value vb = qb ? value_at(attr_b, lwid) : row[1 + *b_col];
-      bool keep =
-          !va.is_bottom() && !vb.is_bottom() && va.Satisfies(op, vb);
-      if (keep) continue;
-      if (qa) drop.insert({tid, attr_a, lwid});
-      if (qb) drop.insert({tid, attr_b, lwid});
+    UField fa{in_sym, tid, a_sym};
+    UField fb{in_sym, tid, b_sym};
+    const FieldEntry* ea = nullptr;
+    const FieldEntry* eb = nullptr;
+    if (qa) {
+      MAYWSD_ASSIGN_OR_RETURN(ea, EntryOf(fields, fa));
     }
-  }
-  if (!drop.empty()) {
-    rel::Relation next_c(c_rel->schema(), c_rel->name());
-    for (size_t r = 0; r < c_rel->NumRows(); ++r) {
-      rel::TupleRef row = c_rel->row(r);
-      if (row[0] == out_sym &&
-          drop.count({row[1].AsInt(), std::string(row[2].AsStringView()),
-                      row[3].AsInt()})) {
+    if (qb) {
+      MAYWSD_ASSIGN_OR_RETURN(eb, EntryOf(fields, fb));
+    }
+    int64_t cid = qa ? ea->cid : eb->cid;
+    std::vector<const rel::Value*> va =
+        qa ? worlds.Dense(*ea)
+           : std::vector<const rel::Value*>(worlds.Lwids(cid).size(),
+                                            &row[1 + *a_col]);
+    std::vector<const rel::Value*> vb =
+        qb ? worlds.Dense(*eb)
+           : std::vector<const rel::Value*>(worlds.Lwids(cid).size(),
+                                            &row[1 + *b_col]);
+    for (size_t pos = 0; pos < va.size(); ++pos) {
+      if (va[pos] != nullptr && vb[pos] != nullptr &&
+          va[pos]->Satisfies(op, *vb[pos])) {
         continue;
       }
-      next_c.AppendRow(row.span());
+      int64_t lwid = worlds.Lwids(cid)[pos];
+      if (qa) drop[fa].push_back(lwid);
+      if (qb) drop[fb].push_back(lwid);
     }
-    *c_rel = std::move(next_c);
+  }
+  for (auto& [field, lwids] : drop) std::sort(lwids.begin(), lwids.end());
+
+  // Steps 2–3: copy the surviving tuples' F and C entries under the output
+  // name, leaving out the values the filtering dropped.
+  size_t f_rows = sys.f->NumRows();
+  for (size_t r = 0; r < f_rows; ++r) {
+    rel::TupleRef row = sys.f->row(r);
+    if (row[0].AsSymbol() != in_sym || !tids.count(row[1].AsInt())) continue;
+    sys.f->AppendRow({rel::Value::StringSymbol(out_sym), row[1], row[2],
+                      row[3]});
+  }
+  size_t c_rows = sys.c->NumRows();
+  for (size_t r = 0; r < c_rows; ++r) {
+    rel::TupleRef row = sys.c->row(r);
+    if (row[0].AsSymbol() != in_sym || !tids.count(row[1].AsInt())) continue;
+    if (!drop.empty()) {
+      auto it = drop.find(RowField(row));
+      if (it != drop.end() &&
+          std::binary_search(it->second.begin(), it->second.end(),
+                             row[3].AsInt())) {
+        continue;
+      }
+    }
+    sys.c->AppendRow({rel::Value::StringSymbol(out_sym), row[1], row[2],
+                      row[3], row[4]});
   }
 
   return FinishUniformSelect(db, std::move(p0), out_rel, {attr_a, attr_b});
@@ -786,6 +1007,71 @@ Status UniformCopy(rel::Database& db, const std::string& in_rel,
   return db.AddRelation(std::move(out));
 }
 
+namespace {
+
+/// Symbols of a template's column names (index = template column).
+std::vector<Symbol> AttrSymbols(const rel::Relation& tmpl) {
+  std::vector<Symbol> out;
+  for (const rel::Attribute& a : tmpl.schema().attrs()) out.push_back(a.name);
+  return out;
+}
+
+/// Per position of `worlds.Lwids(cid)`: whether every '?' field of the
+/// template row that lives in component `cid` has a C row there — the
+/// tuple's presence as far as that component decides it.
+std::vector<bool> PresenceIn(int64_t cid, rel::TupleRef row, Symbol rel,
+                             const std::vector<Symbol>& attrs,
+                             const FieldIndex& fields,
+                             const WorldIndex& worlds) {
+  std::vector<bool> present(worlds.Lwids(cid).size(), true);
+  for (size_t a = 1; a < row.arity(); ++a) {
+    if (!row[a].is_question()) continue;
+    auto it = fields.find({rel, row[0].AsInt(), attrs[a]});
+    if (it == fields.end() || it->second.cid != cid) continue;
+    std::vector<const rel::Value*> dense = worlds.Dense(it->second);
+    for (size_t pos = 0; pos < present.size(); ++pos) {
+      if (dense[pos] == nullptr) present[pos] = false;
+    }
+  }
+  return present;
+}
+
+bool AnyOf(const std::vector<bool>& bits) {
+  return std::find(bits.begin(), bits.end(), true) != bits.end();
+}
+
+/// bits[pos], false for WorldIndex::kNpos.
+bool At(const std::vector<bool>& bits, size_t pos) {
+  return pos < bits.size() && bits[pos];
+}
+
+/// Stages `field` as a placeholder of component `cid`: its F row, and a C
+/// row holding *value_at(pos) at each position of the component's local
+/// worlds where value_at returns non-null (⊥ elsewhere).
+template <typename ValueAt>
+void StagePlaceholder(StoreEdits& edits, const UField& field, int64_t cid,
+                      const WorldIndex& worlds, ValueAt&& value_at) {
+  edits.AddF(field, cid);
+  const std::vector<int64_t>& lwids = worlds.Lwids(cid);
+  for (size_t pos = 0; pos < lwids.size(); ++pos) {
+    if (const rel::Value* v = value_at(pos)) edits.AddC(field, lwids[pos], *v);
+  }
+}
+
+/// Stages a copy of `entry` under `field`; of the C rows in component
+/// `cid` only those at the positions `keep` marks are copied.
+void StageCopy(StoreEdits& edits, const UField& field, const FieldEntry& entry,
+               int64_t cid, const std::vector<bool>& keep,
+               const WorldIndex& worlds) {
+  edits.AddF(field, entry.cid);
+  for (const auto& [lwid, v] : entry.values) {
+    if (entry.cid == cid && !At(keep, worlds.Position(cid, lwid))) continue;
+    edits.AddC(field, lwid, v);
+  }
+}
+
+}  // namespace
+
 Status UniformProject(rel::Database& db, const std::string& in_rel,
                       const std::string& out_rel,
                       const std::vector<std::string>& attrs) {
@@ -793,126 +1079,526 @@ Status UniformProject(rel::Database& db, const std::string& in_rel,
   if (db.Contains(out_rel)) {
     return Status::AlreadyExists("relation " + out_rel);
   }
-  auto tid_idx = in->schema().IndexOf(kTidColumn);
-  if (!tid_idx || *tid_idx != 0) {
-    return Status::InvalidArgument("template " + in_rel +
-                                   " lacks a leading TID column");
-  }
-  rel::Schema logical(std::vector<rel::Attribute>(
-      in->schema().attrs().begin() + 1, in->schema().attrs().end()));
+  MAYWSD_RETURN_IF_ERROR(CheckTemplate(*in));
+  rel::Schema logical = LogicalSchema(*in);
   MAYWSD_ASSIGN_OR_RETURN(rel::Schema kept, logical.Project(attrs));
-  std::set<std::string> kept_set(attrs.begin(), attrs.end());
+  std::vector<size_t> cols;  // template column of each kept attribute
+  std::vector<bool> kept_col(in->arity(), false);
+  for (const std::string& a : attrs) {
+    cols.push_back(1 + *logical.IndexOf(a));
+    kept_col[cols.back()] = true;
+  }
+  const std::vector<Symbol> attr_syms = AttrSymbols(*in);
+  Symbol in_sym = InternString(in_rel);
+  Symbol out_sym = InternString(out_rel);
 
-  // A dropped placeholder with a ⊥ (a local world of its component with no
-  // C row) encodes conditional tuple presence; projecting it away needs
-  // component composition, which is not a pure row rewriting.
-  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* f_ro, db.GetRelation(kUniformF));
-  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* c_ro, db.GetRelation(kUniformC));
-  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* w_ro, db.GetRelation(kUniformW));
-  rel::Value in_sym = rel::Value::String(in_rel);
-  std::map<int64_t, size_t> w_counts;
-  for (size_t r = 0; r < w_ro->NumRows(); ++r) {
-    ++w_counts[w_ro->row(r)[0].AsInt()];
-  }
-  std::map<std::pair<int64_t, std::string>, int64_t> dropped_holes;
-  for (size_t r = 0; r < f_ro->NumRows(); ++r) {
-    rel::TupleRef row = f_ro->row(r);
-    std::string attr(row[2].AsStringView());
-    if (!(row[0] == in_sym) || kept_set.count(attr)) continue;
-    dropped_holes[{row[1].AsInt(), attr}] = row[3].AsInt();
-  }
-  std::map<std::pair<int64_t, std::string>, size_t> have;
-  for (size_t r = 0; r < c_ro->NumRows(); ++r) {
-    rel::TupleRef row = c_ro->row(r);
-    std::string attr(row[2].AsStringView());
-    if (!(row[0] == in_sym) || kept_set.count(attr)) continue;
-    ++have[{row[1].AsInt(), attr}];
-  }
-  for (const auto& [key, cid] : dropped_holes) {
-    auto it = have.find(key);
-    size_t values = it == have.end() ? 0 : it->second;
-    if (values < w_counts[cid]) {
-      return Status::Unsupported(
-          "uniform projection drops the ⊥-carrying placeholder " + in_rel +
-          ".t" + std::to_string(key.first) + "." + key.second);
+  MAYWSD_ASSIGN_OR_RETURN(SystemRels sys, GetSystemRels(db));
+  auto of_input = [&](const UField& x) { return x.rel == in_sym; };
+  FieldIndex fields = IndexFields(*sys.f, *sys.c, of_input);
+  WorldIndex worlds(*sys.w);
+
+  // Pass 1: a dropped placeholder that carries ⊥ encodes conditional
+  // presence the output row must keep. Its components are composed into
+  // one, D; the presence then rides on a kept placeholder in D — composed
+  // in when only kept placeholders of other components remain — or on the
+  // first certain kept cell, which becomes a '?' in D.
+  std::vector<std::vector<UField>> bottoms(in->NumRows());
+  std::vector<bool> dead(in->NumRows(), false);
+  CidUnion merge;
+  for (size_t r = 0; r < in->NumRows(); ++r) {
+    rel::TupleRef row = in->row(r);
+    const FieldEntry* first_kept = nullptr;
+    bool certain_kept = false;
+    for (size_t a = 1; a < row.arity(); ++a) {
+      if (!row[a].is_question()) {
+        certain_kept = certain_kept || kept_col[a];
+        continue;
+      }
+      UField field{in_sym, row[0].AsInt(), attr_syms[a]};
+      MAYWSD_ASSIGN_OR_RETURN(const FieldEntry* entry, EntryOf(fields, field));
+      if (kept_col[a]) {
+        if (first_kept == nullptr) first_kept = entry;
+      } else if (worlds.CarriesBottom(*entry)) {
+        bottoms[r].push_back(field);
+        if (entry->values.empty()) dead[r] = true;
+      }
     }
+    if (bottoms[r].empty() || dead[r]) continue;
+    int64_t d = fields.at(bottoms[r][0]).cid;
+    for (const UField& field : bottoms[r]) merge.Merge(d, fields.at(field).cid);
+    bool carried = false;
+    for (size_t a = 1; a < row.arity() && !carried; ++a) {
+      if (!kept_col[a] || !row[a].is_question()) continue;
+      carried = merge.Find(fields.at({in_sym, row[0].AsInt(), attr_syms[a]})
+                               .cid) == merge.Find(d);
+    }
+    if (carried || certain_kept) continue;
+    if (first_kept == nullptr) {
+      return Status::InvalidArgument(
+          "projection of " + in_rel +
+          " onto no attributes cannot carry conditional tuple presence");
+    }
+    merge.Merge(d, first_kept->cid);
+  }
+  MAYWSD_ASSIGN_OR_RETURN(
+      bool composed,
+      ComposeComponents(*sys.c, *sys.f, *sys.w, merge, "projection"));
+  if (composed) {
+    fields = IndexFields(*sys.f, *sys.c, of_input);
+    worlds = WorldIndex(*sys.w);
   }
 
-  // Template: TID + kept attributes, in the requested order.
+  // Pass 2: template TID + kept attributes, in the requested order; F/C
+  // entries of the kept placeholders only — dropping the other columns
+  // from their components is exact marginalization.
   std::vector<rel::Attribute> out_attrs;
   out_attrs.emplace_back(kTidColumn, rel::AttrType::kInt);
   for (const rel::Attribute& a : kept.attrs()) out_attrs.push_back(a);
   rel::Relation out{rel::Schema(std::move(out_attrs)), out_rel};
-  std::vector<size_t> cols;
-  for (const std::string& a : attrs) cols.push_back(1 + *logical.IndexOf(a));
+  StoreEdits edits;
   std::vector<rel::Value> buf(out.arity());
   for (size_t r = 0; r < in->NumRows(); ++r) {
+    if (dead[r]) continue;  // present in no local world
     rel::TupleRef row = in->row(r);
+    int64_t tid = row[0].AsInt();
     buf[0] = row[0];
     for (size_t i = 0; i < cols.size(); ++i) buf[i + 1] = row[cols[i]];
+    int64_t d = -1;
+    std::vector<bool> present;
+    if (!bottoms[r].empty()) {
+      d = fields.at(bottoms[r][0]).cid;
+      present = PresenceIn(d, row, in_sym, attr_syms, fields, worlds);
+      if (!AnyOf(present)) continue;
+      bool carried = false;
+      for (size_t i = 0; i < cols.size() && !carried; ++i) {
+        carried = row[cols[i]].is_question() &&
+                  fields.at({in_sym, tid, attr_syms[cols[i]]}).cid == d;
+      }
+      if (!carried) {
+        size_t i = 0;
+        while (i < cols.size() && row[cols[i]].is_question()) ++i;
+        if (i == cols.size()) {
+          return Status::Internal("no cell of " + in_rel +
+                                  " can carry the projected presence");
+        }
+        buf[i + 1] = rel::Value::Question();
+        StagePlaceholder(edits, {out_sym, tid, attr_syms[cols[i]]}, d, worlds,
+                         [&](size_t pos) {
+                           return present[pos] ? &row[cols[i]] : nullptr;
+                         });
+      }
+    }
     out.AppendRow(buf);
-  }
-  // F/C entries of the kept attributes only — dropping the other columns
-  // from their components is exact marginalization.
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* f_rel,
-                          db.GetMutableRelation(kUniformF));
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* c_rel,
-                          db.GetMutableRelation(kUniformC));
-  rel::Value out_sym = rel::Value::String(out_rel);
-  size_t f_rows = f_rel->NumRows();
-  size_t c_rows = c_rel->NumRows();
-  for (size_t r = 0; r < f_rows; ++r) {
-    rel::TupleRef row = f_rel->row(r);
-    if (!(row[0] == in_sym) ||
-        !kept_set.count(std::string(row[2].AsStringView()))) {
-      continue;
+    for (size_t col : cols) {
+      if (!row[col].is_question()) continue;
+      StageCopy(edits, {out_sym, tid, attr_syms[col]},
+                fields.at({in_sym, tid, attr_syms[col]}), d, present, worlds);
     }
-    f_rel->AppendRow({out_sym, row[1], row[2], row[3]});
   }
-  for (size_t r = 0; r < c_rows; ++r) {
-    rel::TupleRef row = c_rel->row(r);
-    if (!(row[0] == in_sym) ||
-        !kept_set.count(std::string(row[2].AsStringView()))) {
-      continue;
-    }
-    c_rel->AppendRow({out_sym, row[1], row[2], row[3], row[4]});
-  }
+  edits.Apply(*sys.c, *sys.f);
   return db.AddRelation(std::move(out));
 }
 
+Status UniformDifference(rel::Database& db, const std::string& left,
+                         const std::string& right, const std::string& out) {
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* l, db.GetRelation(left));
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* r, db.GetRelation(right));
+  if (l->schema() != r->schema()) {
+    return Status::InvalidArgument(
+        "uniform difference of incompatible schemas");
+  }
+  if (db.Contains(out)) return Status::AlreadyExists("relation " + out);
+  MAYWSD_RETURN_IF_ERROR(CheckTemplate(*l));
+  const std::vector<Symbol> attr_syms = AttrSymbols(*l);
+  const size_t k = l->arity();
+  Symbol l_sym = InternString(left);
+  Symbol r_sym = InternString(right);
+  Symbol out_sym = InternString(out);
+
+  MAYWSD_ASSIGN_OR_RETURN(SystemRels sys, GetSystemRels(db));
+  auto of_inputs = [&](const UField& x) {
+    return x.rel == l_sym || x.rel == r_sym;
+  };
+  FieldIndex fields = IndexFields(*sys.f, *sys.c, of_inputs);
+  WorldIndex worlds(*sys.w);
+
+  auto certain = [](rel::TupleRef row) {
+    for (size_t a = 1; a < row.arity(); ++a) {
+      if (row[a].is_question()) return false;
+    }
+    return true;
+  };
+  auto logical = [k](rel::TupleRef row) {
+    return rel::TupleRef(row.data() + 1, k - 1);
+  };
+  auto may_hold = [&](const FieldEntry& e, const rel::Value& v) {
+    return std::any_of(e.values.begin(), e.values.end(),
+                       [&](const auto& lv) { return lv.second == v; });
+  };
+  // Could right row j equal left row i in some world? Certain cells must
+  // agree, and a certain cell facing a placeholder must be among its
+  // values. (Two placeholders are assumed to possibly agree.)
+  auto may_equal = [&](rel::TupleRef lrow, rel::TupleRef rrow) {
+    for (size_t a = 1; a < k; ++a) {
+      bool lq = lrow[a].is_question();
+      bool rq = rrow[a].is_question();
+      if (!lq && !rq) {
+        if (!(lrow[a] == rrow[a])) return false;
+      } else if (lq != rq) {
+        const rel::Value& v = lq ? rrow[a] : lrow[a];
+        auto it =
+            fields.find(lq ? UField{l_sym, lrow[0].AsInt(), attr_syms[a]}
+                           : UField{r_sym, rrow[0].AsInt(), attr_syms[a]});
+        if (it != fields.end() && !may_hold(it->second, v)) return false;
+      }
+    }
+    return true;
+  };
+  // Registers the composition of a row's components with `*comp` (the
+  // first one seen when it is still -1).
+  CidUnion merge;
+  auto merge_row = [&](rel::TupleRef row, Symbol rel,
+                       int64_t* comp) -> Status {
+    for (size_t a = 1; a < k; ++a) {
+      if (!row[a].is_question()) continue;
+      MAYWSD_ASSIGN_OR_RETURN(
+          const FieldEntry* e,
+          EntryOf(fields, {rel, row[0].AsInt(), attr_syms[a]}));
+      if (*comp < 0) *comp = e->cid;
+      merge.Merge(*comp, e->cid);
+    }
+    return Status::Ok();
+  };
+
+  // Fully certain right rows, hashed on their values.
+  std::unordered_multimap<size_t, size_t> r_certain;
+  std::vector<size_t> r_uncertain;
+  for (size_t j = 0; j < r->NumRows(); ++j) {
+    if (certain(r->row(j))) {
+      r_certain.emplace(logical(r->row(j)).Hash(), j);
+    } else {
+      r_uncertain.push_back(j);
+    }
+  }
+
+  // Pass 1: each left row's candidate right rows. A left row no right row
+  // can equal is copied unchanged; one equal to a fully certain right row
+  // is absent everywhere; the others compose their components with their
+  // candidates'.
+  std::vector<std::vector<size_t>> candidates(l->NumRows());
+  std::vector<bool> dead(l->NumRows(), false);
+  std::vector<int64_t> comp(l->NumRows(), -1);  // a CID of the row's class
+  for (size_t i = 0; i < l->NumRows(); ++i) {
+    rel::TupleRef lrow = l->row(i);
+    bool l_certain = certain(lrow);
+    if (l_certain) {
+      auto [lo, hi] = r_certain.equal_range(logical(lrow).Hash());
+      for (auto it = lo; it != hi && !dead[i]; ++it) {
+        dead[i] = logical(r->row(it->second)) == logical(lrow);
+      }
+      if (dead[i]) continue;
+      for (size_t j : r_uncertain) {
+        if (may_equal(lrow, r->row(j))) candidates[i].push_back(j);
+      }
+    } else {
+      for (size_t j = 0; j < r->NumRows(); ++j) {
+        if (may_equal(lrow, r->row(j))) candidates[i].push_back(j);
+      }
+    }
+    if (candidates[i].empty()) continue;
+    MAYWSD_RETURN_IF_ERROR(merge_row(lrow, l_sym, &comp[i]));
+    for (size_t j : candidates[i]) {
+      MAYWSD_RETURN_IF_ERROR(merge_row(r->row(j), r_sym, &comp[i]));
+    }
+  }
+  MAYWSD_ASSIGN_OR_RETURN(
+      bool composed,
+      ComposeComponents(*sys.c, *sys.f, *sys.w, merge, "difference"));
+  if (composed) {
+    fields = IndexFields(*sys.f, *sys.c, of_inputs);
+    worlds = WorldIndex(*sys.w);
+  }
+
+  // Pass 2: a left row with candidates stays present at a local world of
+  // its (single) component D where it is present and no candidate is
+  // present with equal values; that presence rides on its placeholders, or
+  // on its first cell turned into a '?' in D.
+  rel::Relation out_tmpl(l->schema(), out);
+  StoreEdits edits;
+  for (size_t i = 0; i < l->NumRows(); ++i) {
+    if (dead[i]) continue;
+    rel::TupleRef lrow = l->row(i);
+    int64_t tid = lrow[0].AsInt();
+    std::vector<bool> keep;
+    int64_t d = -1;
+    if (!candidates[i].empty()) {
+      d = merge.Find(comp[i]);  // the composed component
+      const size_t n = worlds.Lwids(d).size();
+      // Per column, a row's value at each position of D (nullptr = ⊥).
+      auto dense_row = [&](rel::TupleRef row, Symbol rel) {
+        std::vector<std::vector<const rel::Value*>> dense(k);
+        for (size_t a = 1; a < k; ++a) {
+          dense[a] = row[a].is_question()
+                         ? worlds.Dense(fields.at({rel, row[0].AsInt(),
+                                                   attr_syms[a]}))
+                         : std::vector<const rel::Value*>(n, &row[a]);
+        }
+        return dense;
+      };
+      auto present_at = [&](const auto& dense, size_t pos) {
+        for (size_t a = 1; a < k; ++a) {
+          if (dense[a][pos] == nullptr) return false;
+        }
+        return true;
+      };
+      std::vector<std::vector<const rel::Value*>> lv = dense_row(lrow, l_sym);
+      keep.assign(n, false);
+      for (size_t pos = 0; pos < n; ++pos) keep[pos] = present_at(lv, pos);
+      for (size_t j : candidates[i]) {
+        std::vector<std::vector<const rel::Value*>> rv =
+            dense_row(r->row(j), r_sym);
+        for (size_t pos = 0; pos < n; ++pos) {
+          if (!keep[pos] || !present_at(rv, pos)) continue;
+          bool equal = true;
+          for (size_t a = 1; a < k && equal; ++a) {
+            equal = *lv[a][pos] == *rv[a][pos];
+          }
+          if (equal) keep[pos] = false;
+        }
+      }
+      if (!AnyOf(keep)) continue;
+    }
+    std::vector<rel::Value> buf = lrow.ToRow();
+    if (certain(lrow) && d >= 0 &&
+        std::find(keep.begin(), keep.end(), false) != keep.end()) {
+      // A certain row with candidates has a cell (k ≥ 2): its first one
+      // carries the presence.
+      buf[1] = rel::Value::Question();
+      StagePlaceholder(edits, {out_sym, tid, attr_syms[1]}, d, worlds,
+                       [&](size_t pos) {
+                         return keep[pos] ? &lrow[1] : nullptr;
+                       });
+    }
+    out_tmpl.AppendRow(buf);
+    for (size_t a = 1; a < k; ++a) {
+      if (!lrow[a].is_question()) continue;
+      StageCopy(edits, {out_sym, tid, attr_syms[a]},
+                fields.at({l_sym, tid, attr_syms[a]}), d, keep, worlds);
+    }
+  }
+  edits.Apply(*sys.c, *sys.f);
+  return db.AddRelation(std::move(out_tmpl));
+}
+
 Status UniformDrop(rel::Database& db, const std::string& name) {
-  if (name == kUniformC || name == kUniformF || name == kUniformW) {
+  if (IsSystemName(name)) {
     return Status::InvalidArgument("cannot drop system relation " + name);
   }
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* tmpl, db.GetRelation(name));
+  // F/C rows exist only for '?' cells: dropping a certain template skips
+  // the system-relation pass entirely.
+  bool has_placeholder = std::any_of(
+      tmpl->data().begin(), tmpl->data().end(),
+      [](const rel::Value& v) { return v.is_question(); });
   MAYWSD_RETURN_IF_ERROR(db.DropRelation(name));
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* f_rel,
-                          db.GetMutableRelation(kUniformF));
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* c_rel,
-                          db.GetMutableRelation(kUniformC));
-  rel::Value sym = rel::Value::String(name);
-  for (rel::Relation* sys : {f_rel, c_rel}) {
-    rel::Relation next(sys->schema(), sys->name());
-    for (size_t r = 0; r < sys->NumRows(); ++r) {
-      if (sys->row(r)[0] == sym) continue;
-      next.AppendRow(sys->row(r).span());
-    }
-    *sys = std::move(next);
-  }
+  if (!has_placeholder) return Status::Ok();
+  MAYWSD_ASSIGN_OR_RETURN(SystemRels sys, GetSystemRels(db));
+  Symbol sym = InternString(name);
+  auto keep = [sym](rel::TupleRef row) { return row[0].AsSymbol() != sym; };
+  sys.f->RetainRows(keep);
+  sys.c->RetainRows(keep);
   return Status::Ok();
 }
 
-Status UniformInsert(rel::Database& db, const std::string& rel,
-                     const rel::Relation& tuples) {
-  if (rel == kUniformC || rel == kUniformF || rel == kUniformW) {
-    return Status::InvalidArgument("cannot insert into system relation " +
-                                   rel);
+namespace {
+
+/// The target template of an update, checked.
+Result<rel::Relation*> UpdateTarget(rel::Database& db, const std::string& rel,
+                                    const char* verb) {
+  if (IsSystemName(rel)) {
+    return Status::InvalidArgument(std::string("cannot ") + verb +
+                                   " system relation " + rel);
   }
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, db.GetMutableRelation(rel));
-  auto tid_idx = tmpl->schema().IndexOf(kTidColumn);
-  if (!tid_idx || *tid_idx != 0) {
-    return Status::InvalidArgument("template " + rel +
-                                   " lacks a leading TID column");
+  MAYWSD_RETURN_IF_ERROR(CheckTemplate(*tmpl));
+  return tmpl;
+}
+
+/// Tri-evaluates `pred` on every template row (TID column stripped).
+Result<std::vector<Tri>> DecideRows(const rel::Relation& tmpl,
+                                    const rel::Predicate& pred) {
+  rel::Schema logical = LogicalSchema(tmpl);
+  for (const std::string& a : pred.ReferencedAttributes()) {
+    if (!logical.Contains(a)) {
+      return Status::NotFound("predicate attribute " + a + " not in " +
+                              tmpl.name());
+    }
   }
+  std::vector<Tri> out;
+  out.reserve(tmpl.NumRows());
+  for (size_t r = 0; r < tmpl.NumRows(); ++r) {
+    rel::TupleRef logical_row(tmpl.row(r).data() + 1, logical.arity());
+    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
+                            TriEvalPredicate(pred, logical, logical_row));
+    out.push_back(tri);
+  }
+  return out;
+}
+
+/// A world condition on the store, analyzed like WsdtUpdateGuard: kNever
+/// when the guard relation has no rows, kAlways when there is no guard or
+/// some guard row carries no ⊥ (it exists in every world), otherwise
+/// kConditional with `slots` listing, per guard row, its ⊥-carrying
+/// fields.
+struct UniformGuard {
+  enum class Mode { kAlways, kNever, kConditional };
+  Mode mode = Mode::kAlways;
+  std::vector<std::vector<UField>> slots;
+};
+
+Result<UniformGuard> AnalyzeGuard(const rel::Database& db,
+                                  const std::string& guard,
+                                  const FieldIndex& fields,
+                                  const WorldIndex& worlds) {
+  UniformGuard out;
+  if (guard.empty()) return out;
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* tmpl, db.GetRelation(guard));
+  MAYWSD_RETURN_IF_ERROR(CheckTemplate(*tmpl));
+  if (tmpl->NumRows() == 0) {
+    out.mode = UniformGuard::Mode::kNever;
+    return out;
+  }
+  const std::vector<Symbol> attrs = AttrSymbols(*tmpl);
+  Symbol sym = InternString(guard);
+  for (size_t r = 0; r < tmpl->NumRows(); ++r) {
+    rel::TupleRef row = tmpl->row(r);
+    std::vector<UField> presence;
+    for (size_t a = 1; a < row.arity(); ++a) {
+      if (!row[a].is_question()) continue;
+      UField field{sym, row[0].AsInt(), attrs[a]};
+      MAYWSD_ASSIGN_OR_RETURN(const FieldEntry* entry, EntryOf(fields, field));
+      if (worlds.CarriesBottom(*entry)) presence.push_back(field);
+    }
+    // A row with no ⊥-carrying field exists in every world.
+    if (presence.empty()) return UniformGuard{};
+    out.slots.push_back(std::move(presence));
+  }
+  out.mode = UniformGuard::Mode::kConditional;
+  return out;
+}
+
+/// What a guarded or per-world update reads of the store: the F/C entries
+/// of the target rows it may touch and of the guard relation, W, and the
+/// guard's analysis. A conditional guard's components are registered in
+/// `merge` up front (they compose into one, G); the update adds the
+/// components its rows must compose, then Compose() runs the relational
+/// compose and refreshes the view.
+struct UpdateScope {
+  SystemRels sys;
+  Symbol target = 0;
+  std::unordered_set<int64_t> touched;  ///< TIDs of the rows it may touch
+  std::string guard_rel;
+  FieldIndex fields;
+  WorldIndex worlds;
+  UniformGuard guard;
+  CidUnion merge;
+  int64_t g = -1;              ///< G's CID (a member's before Compose())
+  std::vector<bool> selected;  ///< per local world of G: guard non-empty
+
+  bool conditional() const {
+    return guard.mode == UniformGuard::Mode::kConditional;
+  }
+
+  void Index() {
+    Symbol guard_sym = guard_rel.empty() ? 0 : InternString(guard_rel);
+    fields = IndexFields(*sys.f, *sys.c, [&](const UField& x) {
+      return (x.rel == target && touched.count(x.tid)) ||
+             (!guard_rel.empty() && x.rel == guard_sym);
+    });
+    worlds = WorldIndex(*sys.w);
+  }
+
+  Status Compose(std::string_view what) {
+    MAYWSD_ASSIGN_OR_RETURN(
+        bool composed,
+        ComposeComponents(*sys.c, *sys.f, *sys.w, merge, what));
+    if (composed) Index();
+    if (!conditional()) return Status::Ok();
+    g = fields.at(guard.slots[0][0]).cid;
+    selected.assign(worlds.Lwids(g).size(), false);
+    for (const auto& slot : guard.slots) {
+      std::vector<bool> present(selected.size(), true);
+      for (const UField& f : slot) {
+        const FieldEntry& entry = fields.at(f);
+        if (entry.cid != g) {
+          return Status::Internal("guard field escaped the guard component");
+        }
+        std::vector<const rel::Value*> dense = worlds.Dense(entry);
+        for (size_t pos = 0; pos < dense.size(); ++pos) {
+          if (dense[pos] == nullptr) present[pos] = false;
+        }
+      }
+      for (size_t pos = 0; pos < selected.size(); ++pos) {
+        if (present[pos]) selected[pos] = true;
+      }
+    }
+    return Status::Ok();
+  }
+};
+
+Result<UpdateScope> OpenUpdateScope(rel::Database& db, const std::string& rel,
+                                    std::unordered_set<int64_t> touched,
+                                    const std::string& guard) {
+  UpdateScope scope;
+  MAYWSD_ASSIGN_OR_RETURN(scope.sys, GetSystemRels(db));
+  scope.target = InternString(rel);
+  scope.touched = std::move(touched);
+  scope.guard_rel = guard;
+  scope.Index();
+  MAYWSD_ASSIGN_OR_RETURN(
+      scope.guard, AnalyzeGuard(db, guard, scope.fields, scope.worlds));
+  if (scope.conditional()) {
+    scope.g = scope.fields.at(scope.guard.slots[0][0]).cid;
+    for (const auto& slot : scope.guard.slots) {
+      for (const UField& f : slot) {
+        scope.merge.Merge(scope.g, scope.fields.at(f).cid);
+      }
+    }
+  }
+  return scope;
+}
+
+/// Attribute values of a template row at one local world: certain cells
+/// from the template, placeholders from `dense` (per template column;
+/// filled for the columns the predicate reads).
+rel::Value ResolveAt(const rel::Schema& logical, rel::TupleRef row,
+                     const std::vector<std::vector<const rel::Value*>>& dense,
+                     size_t pos, const std::string& name) {
+  auto idx = logical.IndexOf(name);
+  if (!idx) return rel::Value::Bottom();
+  const rel::Value& cell = row[*idx + 1];
+  if (!cell.is_question()) return cell;
+  const auto& column = dense[*idx + 1];
+  return pos < column.size() && column[pos] != nullptr ? *column[pos]
+                                                       : rel::Value::Bottom();
+}
+
+/// The template columns of `row` holding a '?' for which `wanted(col)`.
+template <typename Wanted>
+std::vector<size_t> PlaceholderCols(rel::TupleRef row, Wanted&& wanted) {
+  std::vector<size_t> cols;
+  for (size_t a = 1; a < row.arity(); ++a) {
+    if (row[a].is_question() && wanted(a)) cols.push_back(a);
+  }
+  return cols;
+}
+
+}  // namespace
+
+Status UniformInsert(rel::Database& db, const std::string& rel,
+                     const rel::Relation& tuples, const std::string& guard) {
+  MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl,
+                          UpdateTarget(db, rel, "insert into"));
   if (tuples.arity() + 1 != tmpl->arity()) {
     return Status::InvalidArgument("insert arity mismatch on " + rel);
   }
@@ -920,140 +1606,381 @@ Status UniformInsert(rel::Database& db, const std::string& rel,
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
     next_tid = std::max(next_tid, tmpl->row(r)[0].AsInt() + 1);
   }
+  std::optional<UpdateScope> scope;
+  if (!guard.empty()) {
+    MAYWSD_ASSIGN_OR_RETURN(scope, OpenUpdateScope(db, rel, {}, guard));
+    if (scope->guard.mode == UniformGuard::Mode::kNever) return Status::Ok();
+  }
   std::vector<rel::Value> row(tmpl->arity());
+  if (!scope || !scope->conditional()) {
+    for (size_t r = 0; r < tuples.NumRows(); ++r) {
+      row[0] = rel::Value::Int(next_tid++);
+      for (size_t a = 0; a < tuples.arity(); ++a) row[a + 1] = tuples.row(r)[a];
+      tmpl->AppendRow(row);
+    }
+    return Status::Ok();
+  }
+  if (tuples.arity() == 0) {
+    return Status::InvalidArgument("guarded insert into " + rel +
+                                   " has no cell to carry its presence");
+  }
+  // Conditional presence: the first attribute becomes a placeholder in G
+  // holding the value where the guard is non-empty (no C row elsewhere).
+  MAYWSD_RETURN_IF_ERROR(scope->Compose("guarded insert"));
+  if (!AnyOf(scope->selected)) return Status::Ok();
+  Symbol head = tmpl->schema().attr(1).name;
+  StoreEdits edits;
   for (size_t r = 0; r < tuples.NumRows(); ++r) {
-    row[0] = rel::Value::Int(next_tid++);
-    for (size_t a = 0; a < tuples.arity(); ++a) row[a + 1] = tuples.row(r)[a];
+    UField field{scope->target, next_tid++, head};
+    row[0] = rel::Value::Int(field.tid);
+    row[1] = rel::Value::Question();
+    for (size_t a = 1; a < tuples.arity(); ++a) row[a + 1] = tuples.row(r)[a];
     tmpl->AppendRow(row);
+    const rel::Value& value = tuples.row(r)[0];
+    StagePlaceholder(edits, field, scope->g, scope->worlds, [&](size_t pos) {
+      return scope->selected[pos] ? &value : nullptr;
+    });
   }
+  edits.Apply(*scope->sys.c, *scope->sys.f);
   return Status::Ok();
 }
-
-namespace {
-
-/// Tri-evaluates `pred` on every template row (TID column stripped);
-/// kUnsupported when any row's decision needs component values.
-Result<std::vector<Tri>> DecideRows(const rel::Relation& tmpl,
-                                    const rel::Predicate& pred) {
-  rel::Schema logical(std::vector<rel::Attribute>(
-      tmpl.schema().attrs().begin() + 1, tmpl.schema().attrs().end()));
-  std::vector<Tri> out;
-  out.reserve(tmpl.NumRows());
-  for (size_t r = 0; r < tmpl.NumRows(); ++r) {
-    rel::TupleRef logical_row(tmpl.row(r).data() + 1, logical.arity());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, logical, logical_row));
-    if (tri == Tri::kUnknown) {
-      return Status::Unsupported(
-          "predicate on " + tmpl.name() +
-          " touches placeholder cells; needs the template semantics");
-    }
-    out.push_back(tri);
-  }
-  return out;
-}
-
-/// Removes the F and C rows of the given (relation, TID) fields.
-Status DropFieldRows(rel::Database& db, const std::string& rel,
-                     const std::set<int64_t>& tids) {
-  rel::Value sym = rel::Value::String(rel);
-  for (const char* name : {kUniformF, kUniformC}) {
-    MAYWSD_ASSIGN_OR_RETURN(rel::Relation * sys, db.GetMutableRelation(name));
-    rel::Relation next(sys->schema(), sys->name());
-    for (size_t r = 0; r < sys->NumRows(); ++r) {
-      if (sys->row(r)[0] == sym && tids.count(sys->row(r)[1].AsInt())) {
-        continue;
-      }
-      next.AppendRow(sys->row(r).span());
-    }
-    *sys = std::move(next);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
-                          const rel::Predicate& pred) {
-  if (rel == kUniformC || rel == kUniformF || rel == kUniformW) {
-    return Status::InvalidArgument("cannot delete from system relation " +
-                                   rel);
-  }
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, db.GetMutableRelation(rel));
+                          const rel::Predicate& pred,
+                          const std::string& guard) {
+  MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl,
+                          UpdateTarget(db, rel, "delete from"));
   MAYWSD_ASSIGN_OR_RETURN(std::vector<Tri> decided, DecideRows(*tmpl, pred));
-  std::set<int64_t> removed_tids;
-  bool removed_placeholder = false;
-  rel::Relation kept(tmpl->schema(), tmpl->name());
+  const rel::Schema logical = LogicalSchema(*tmpl);
+  const std::vector<Symbol> attrs = AttrSymbols(*tmpl);
+  Symbol rel_sym = InternString(rel);
+  std::unordered_set<int64_t> touched;
+  bool any_unknown = false;
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] == Tri::kTrue) {
-      removed_tids.insert(tmpl->row(r)[0].AsInt());
-      for (size_t a = 1; a < tmpl->arity(); ++a) {
-        if (tmpl->row(r)[a].is_question()) removed_placeholder = true;
-      }
-    } else {
-      kept.AppendRow(tmpl->row(r).span());
-    }
+    if (decided[r] == Tri::kFalse) continue;
+    touched.insert(tmpl->row(r)[0].AsInt());
+    any_unknown = any_unknown || decided[r] == Tri::kUnknown;
   }
-  if (removed_tids.empty()) return Status::Ok();
-  *tmpl = std::move(kept);
-  // F/C rows exist only for placeholder fields: a delete of fully certain
-  // rows (the common native case) skips the system-relation rebuild and
-  // the W garbage-collection scan entirely.
-  if (!removed_placeholder) return Status::Ok();
-  MAYWSD_RETURN_IF_ERROR(DropFieldRows(db, rel, removed_tids));
-  return UniformCompact(db);
+  if (touched.empty()) return Status::Ok();
+
+  // Rows deleted in every world leave the template with their F/C rows
+  // (explicit TIDs keep the others stable).
+  std::unordered_set<int64_t> removed;
+  bool removed_placeholder = false;
+  auto remove_row = [&](rel::TupleRef row) {
+    removed.insert(row[0].AsInt());
+    for (size_t a = 1; a < row.arity(); ++a) {
+      if (row[a].is_question()) removed_placeholder = true;
+    }
+  };
+  auto finish = [&]() -> Status {
+    if (removed.empty()) return Status::Ok();
+    tmpl->RetainRows(
+        [&](rel::TupleRef row) { return !removed.count(row[0].AsInt()); });
+    // F/C rows exist only for placeholder fields: removing certain rows
+    // (the common case) skips the system relations entirely.
+    if (!removed_placeholder) return Status::Ok();
+    MAYWSD_ASSIGN_OR_RETURN(SystemRels sys, GetSystemRels(db));
+    DropFieldRows(*sys.c, *sys.f, rel_sym, removed);
+    return UniformCompact(db);
+  };
+  // Unguarded, every row decided on certain cells: a template rewriting.
+  if (guard.empty() && !any_unknown) {
+    for (size_t r = 0; r < tmpl->NumRows(); ++r) {
+      if (decided[r] == Tri::kTrue) remove_row(tmpl->row(r));
+    }
+    return finish();
+  }
+
+  MAYWSD_ASSIGN_OR_RETURN(UpdateScope scope,
+                          OpenUpdateScope(db, rel, std::move(touched), guard));
+  if (scope.guard.mode == UniformGuard::Mode::kNever) return Status::Ok();
+  const bool conditional = scope.conditional();
+
+  // Pass 1: what each touched row needs composed. A certain match under a
+  // guard is deleted exactly where G is non-empty: one of its placeholders
+  // (preferably one already in G) is ⊥-marked there, or the first cell of
+  // a certain row becomes a '?' in G present where G is empty. A row the
+  // predicate decides per world composes the placeholders it reads (and
+  // G) and loses their values where it holds.
+  struct Plan {
+    size_t row;
+    bool per_world;
+    std::vector<size_t> cols;  // marked / read placeholder columns
+  };
+  std::vector<Plan> plans;
+  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
+  for (size_t r = 0; r < tmpl->NumRows(); ++r) {
+    if (decided[r] == Tri::kFalse) continue;
+    rel::TupleRef row = tmpl->row(r);
+    int64_t tid = row[0].AsInt();
+    if (decided[r] == Tri::kTrue && !conditional) {
+      remove_row(row);
+      continue;
+    }
+    Plan plan{r, decided[r] == Tri::kUnknown, {}};
+    if (plan.per_world) {
+      plan.cols = PlaceholderCols(row, [&](size_t a) {
+        return std::find(ref_attrs.begin(), ref_attrs.end(),
+                         SymbolName(attrs[a])) != ref_attrs.end();
+      });
+    } else {
+      for (size_t a : PlaceholderCols(row, [](size_t) { return true; })) {
+        auto it = scope.fields.find({rel_sym, tid, attrs[a]});
+        bool in_g = it != scope.fields.end() &&
+                    scope.merge.Find(it->second.cid) ==
+                        scope.merge.Find(scope.g);
+        if (plan.cols.empty() || in_g) plan.cols = {a};
+      }
+      if (plan.cols.empty() && row.arity() < 2) {
+        return Status::InvalidArgument("guarded delete on " + rel +
+                                       " has no cell to carry presence");
+      }
+    }
+    int64_t anchor = scope.g;
+    for (size_t a : plan.cols) {
+      MAYWSD_ASSIGN_OR_RETURN(const FieldEntry* e,
+                              EntryOf(scope.fields, {rel_sym, tid, attrs[a]}));
+      if (anchor < 0) anchor = e->cid;
+      scope.merge.Merge(anchor, e->cid);
+    }
+    plans.push_back(std::move(plan));
+  }
+  MAYWSD_RETURN_IF_ERROR(
+      scope.Compose(conditional ? "guarded delete" : "delete"));
+
+  // Pass 2: stage the per-world deletions.
+  StoreEdits edits;
+  std::vector<size_t> to_question;  // certain rows whose first cell → '?'
+  for (const Plan& plan : plans) {
+    rel::TupleRef row = tmpl->row(plan.row);
+    int64_t tid = row[0].AsInt();
+    if (!plan.per_world && plan.cols.empty()) {
+      if (!std::count(scope.selected.begin(), scope.selected.end(), false)) {
+        remove_row(row);
+        continue;
+      }
+      to_question.push_back(plan.row);
+      StagePlaceholder(edits, {rel_sym, tid, attrs[1]}, scope.g, scope.worlds,
+                       [&](size_t pos) {
+                         return scope.selected[pos] ? nullptr : &row[1];
+                       });
+      continue;
+    }
+    std::vector<std::vector<const rel::Value*>> dense(row.arity());
+    int64_t t = scope.g;
+    for (size_t a : plan.cols) {
+      const FieldEntry& e = scope.fields.at({rel_sym, tid, attrs[a]});
+      if (t < 0) t = e.cid;
+      if (e.cid != t) return Status::Internal("deleted cell escaped");
+      dense[a] = scope.worlds.Dense(e);
+    }
+    const std::vector<int64_t>& lwids = scope.worlds.Lwids(t);
+    size_t kept = 0;
+    for (size_t pos = 0; pos < lwids.size(); ++pos) {
+      bool present = true;
+      for (size_t a : plan.cols) present = present && dense[a][pos] != nullptr;
+      if (!present) continue;
+      bool hit = !conditional || scope.selected[pos];
+      if (hit && plan.per_world) {
+        hit = EvalPredicateResolved(pred, [&](const std::string& name) {
+          return ResolveAt(logical, row, dense, pos, name);
+        });
+      }
+      if (!hit) {
+        ++kept;
+        continue;
+      }
+      for (size_t a : plan.cols) {
+        edits.DropC({rel_sym, tid, attrs[a]}, lwids[pos]);
+      }
+    }
+    if (kept == 0) remove_row(row);
+  }
+  for (size_t r : to_question) tmpl->SetCell(r, 1, rel::Value::Question());
+  edits.Apply(*scope.sys.c, *scope.sys.f);
+  return finish();
 }
 
 Status UniformModifyWhere(rel::Database& db, const std::string& rel,
                           const rel::Predicate& pred,
-                          std::span<const rel::Assignment> assignments) {
-  if (rel == kUniformC || rel == kUniformF || rel == kUniformW) {
-    return Status::InvalidArgument("cannot modify system relation " + rel);
-  }
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, db.GetMutableRelation(rel));
+                          std::span<const rel::Assignment> assignments,
+                          const std::string& guard) {
+  MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl,
+                          UpdateTarget(db, rel, "modify"));
   MAYWSD_ASSIGN_OR_RETURN(std::vector<Tri> decided, DecideRows(*tmpl, pred));
-  std::vector<std::pair<size_t, rel::Value>> cols;  // template column → value
+  std::vector<std::pair<size_t, rel::Value>> assigned;  // column → value
   for (const rel::Assignment& a : assignments) {
     auto idx = tmpl->schema().IndexOf(a.attr);
     if (!idx || *idx == 0) {
       return Status::NotFound("assignment attribute " + a.attr + " not in " +
                               rel);
     }
-    cols.emplace_back(*idx, a.value);
-  }
-  // Pass 1: an assignment to a '?' cell needs component surgery.
-  for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] != Tri::kTrue) continue;
-    for (const auto& [col, v] : cols) {
-      if (tmpl->row(r)[col].is_question()) {
-        return Status::Unsupported(
-            "assignment to a placeholder cell of " + rel +
-            "; needs the template semantics");
-      }
+    auto same = std::find_if(assigned.begin(), assigned.end(),
+                             [&](const auto& cv) { return cv.first == *idx; });
+    if (same != assigned.end()) {
+      same->second = a.value;  // the later assignment wins
+    } else {
+      assigned.emplace_back(*idx, a.value);
     }
   }
+  auto is_assigned = [&](size_t col) {
+    return std::any_of(assigned.begin(), assigned.end(),
+                       [col](const auto& cv) { return cv.first == col; });
+  };
+  const rel::Schema logical = LogicalSchema(*tmpl);
+  const std::vector<Symbol> attrs = AttrSymbols(*tmpl);
+  Symbol rel_sym = InternString(rel);
+  std::unordered_set<int64_t> touched;
+  bool needs_store = !guard.empty();
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] != Tri::kTrue) continue;
-    for (const auto& [col, v] : cols) tmpl->SetCell(r, col, v);
+    if (decided[r] == Tri::kFalse) continue;
+    touched.insert(tmpl->row(r)[0].AsInt());
+    needs_store = needs_store || decided[r] == Tri::kUnknown ||
+                  !PlaceholderCols(tmpl->row(r), is_assigned).empty();
   }
+  if (touched.empty()) return Status::Ok();
+  // Unguarded certain matches overwriting certain cells: a template
+  // rewriting.
+  if (!needs_store) {
+    for (size_t r = 0; r < tmpl->NumRows(); ++r) {
+      if (decided[r] != Tri::kTrue) continue;
+      for (const auto& [col, v] : assigned) tmpl->SetCell(r, col, v);
+    }
+    return Status::Ok();
+  }
+
+  MAYWSD_ASSIGN_OR_RETURN(UpdateScope scope,
+                          OpenUpdateScope(db, rel, std::move(touched), guard));
+  if (scope.guard.mode == UniformGuard::Mode::kNever) return Status::Ok();
+  const bool conditional = scope.conditional();
+
+  // Pass 1: rows matched per world (unknown predicate and/or world
+  // condition) compose everything their decision and assignment touch —
+  // the placeholders the predicate reads or the assignments write, and G.
+  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
+  std::vector<std::pair<size_t, std::vector<size_t>>> per_world;  // row, cols
+  for (size_t r = 0; r < tmpl->NumRows(); ++r) {
+    if (decided[r] == Tri::kFalse) continue;
+    if (decided[r] == Tri::kTrue && !conditional) continue;
+    rel::TupleRef row = tmpl->row(r);
+    std::vector<size_t> cols = PlaceholderCols(row, [&](size_t a) {
+      return is_assigned(a) ||
+             std::find(ref_attrs.begin(), ref_attrs.end(),
+                       SymbolName(attrs[a])) != ref_attrs.end();
+    });
+    int64_t anchor = scope.g;
+    for (size_t a : cols) {
+      MAYWSD_ASSIGN_OR_RETURN(
+          const FieldEntry* e,
+          EntryOf(scope.fields, {rel_sym, row[0].AsInt(), attrs[a]}));
+      if (anchor < 0) anchor = e->cid;
+      scope.merge.Merge(anchor, e->cid);
+    }
+    if (anchor < 0) {
+      return Status::Internal("per-world modify without placeholders");
+    }
+    per_world.emplace_back(r, std::move(cols));
+  }
+  MAYWSD_RETURN_IF_ERROR(
+      scope.Compose(conditional ? "guarded modify" : "modify"));
+
+  // Pass 2: stage the rewrites. A placeholder's value changes at the
+  // positions `at(lwid)` names a new one for.
+  StoreEdits edits;
+  std::vector<std::tuple<size_t, size_t, rel::Value>> cells;  // row, col, v
+  auto overwrite = [&](const UField& field, auto&& at) {
+    for (const auto& [lwid, v] : scope.fields.at(field).values) {
+      if (const rel::Value* next = at(lwid)) {
+        edits.DropC(field, lwid);
+        edits.AddC(field, lwid, *next);
+      }
+    }
+  };
+  for (size_t r = 0; r < tmpl->NumRows() && !conditional; ++r) {
+    if (decided[r] != Tri::kTrue) continue;
+    // Certain match in every world: overwrite template cells, and every
+    // value of an assigned placeholder (absent worlds stay absent).
+    rel::TupleRef row = tmpl->row(r);
+    for (const auto& [col, v] : assigned) {
+      if (!row[col].is_question()) {
+        cells.emplace_back(r, col, v);
+        continue;
+      }
+      overwrite(UField{rel_sym, row[0].AsInt(), attrs[col]},
+                [&](int64_t) { return &v; });
+    }
+  }
+  for (const auto& [r, cols] : per_world) {
+    rel::TupleRef row = tmpl->row(r);
+    int64_t tid = row[0].AsInt();
+    // The target component T: G, or where the row's touched placeholders
+    // now live.
+    int64_t t = scope.g;
+    std::vector<std::vector<const rel::Value*>> dense(row.arity());
+    for (size_t a : cols) {
+      const FieldEntry& e = scope.fields.at({rel_sym, tid, attrs[a]});
+      if (t < 0) t = e.cid;
+      if (e.cid != t) return Status::Internal("modified cell escaped");
+      dense[a] = scope.worlds.Dense(e);
+    }
+    std::vector<bool> present =
+        PresenceIn(t, row, rel_sym, attrs, scope.fields, scope.worlds);
+    std::vector<bool> holds(present.size(), false);
+    for (size_t pos = 0; pos < holds.size(); ++pos) {
+      if (!present[pos] || (conditional && !scope.selected[pos])) continue;
+      holds[pos] = decided[r] == Tri::kTrue ||
+                   EvalPredicateResolved(pred, [&](const std::string& name) {
+                     return ResolveAt(logical, row, dense, pos, name);
+                   });
+    }
+    if (!AnyOf(holds)) continue;
+    for (const auto& [col, v] : assigned) {
+      UField field{rel_sym, tid, attrs[col]};
+      if (row[col].is_question()) {
+        overwrite(field, [&](int64_t lwid) {
+          return At(holds, scope.worlds.Position(t, lwid)) ? &v : nullptr;
+        });
+        continue;
+      }
+      // A certain assigned cell becomes a placeholder in T: the new value
+      // where the match holds, the old one elsewhere.
+      cells.emplace_back(r, col, rel::Value::Question());
+      StagePlaceholder(edits, field, t, scope.worlds, [&](size_t pos) {
+        return !present[pos] ? nullptr : holds[pos] ? &v : &row[col];
+      });
+    }
+  }
+  for (const auto& [r, col, v] : cells) tmpl->SetCell(r, col, v);
+  edits.Apply(*scope.sys.c, *scope.sys.f);
   return Status::Ok();
+}
+
+Status UniformApplyUpdate(rel::Database& db, const rel::UpdateOp& op,
+                          const std::string& guard) {
+  switch (op.kind()) {
+    case rel::UpdateOp::Kind::kInsert:
+      return UniformInsert(db, op.relation(), op.tuples(), guard);
+    case rel::UpdateOp::Kind::kDelete:
+      return UniformDeleteWhere(db, op.relation(), op.predicate(), guard);
+    case rel::UpdateOp::Kind::kModify:
+      return UniformModifyWhere(db, op.relation(), op.predicate(),
+                                op.assignments(), guard);
+  }
+  return Status::Internal("unknown update kind");
 }
 
 Status UniformCompact(rel::Database& db) {
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* f_rel,
                           db.GetRelation(kUniformF));
-  std::set<int64_t> live;
+  std::unordered_set<int64_t> live;
   for (size_t r = 0; r < f_rel->NumRows(); ++r) {
     live.insert(f_rel->row(r)[3].AsInt());
   }
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation* w_rel,
+  MAYWSD_ASSIGN_OR_RETURN(rel::Relation * w_rel,
                           db.GetMutableRelation(kUniformW));
-  rel::Relation next(w_rel->schema(), w_rel->name());
-  for (size_t r = 0; r < w_rel->NumRows(); ++r) {
-    if (!live.count(w_rel->row(r)[0].AsInt())) continue;
-    next.AppendRow(w_rel->row(r).span());
-  }
-  *w_rel = std::move(next);
+  w_rel->RetainRows(
+      [&](rel::TupleRef row) { return live.count(row[0].AsInt()) > 0; });
   return Status::Ok();
 }
 

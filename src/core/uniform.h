@@ -18,7 +18,12 @@
 //
 // UniformSelectConst implements the select[Aθc] rewriting of Figure 16
 // literally against these relations through the rel:: engine, as the
-// PostgreSQL prototype did with SQL.
+// PostgreSQL prototype did with SQL. Every other operator and every update
+// is such a row rewriting too; the ones that correlate independent
+// components (select[AθB], projecting away a ⊥-carrying placeholder,
+// difference, world-conditional updates) first run the relational
+// compose: W is rewritten to the product of the merged components' local
+// worlds, F is remapped and C expanded — no round trip through a WSDT.
 
 #ifndef MAYWSD_CORE_UNIFORM_H_
 #define MAYWSD_CORE_UNIFORM_H_
@@ -47,7 +52,11 @@ inline constexpr const char* kTidColumn = "__TID";
 Result<rel::Database> ExportUniform(const Wsdt& wsdt);
 
 /// Rebuilds a WSDT from a uniform database. `templates` lists the template
-/// relation names (defaults to every relation except C, F, W).
+/// relations to import (defaults to every relation except C, F, W). A
+/// scoped import reads only those relations' slice of the store: F and C
+/// rows of other relations are skipped, and each component keeps only the
+/// listed relations' fields — exact marginalization. A dangling F/C
+/// reference into an imported relation is still an error.
 Result<Wsdt> ImportUniform(const rel::Database& db,
                            std::vector<std::string> templates = {});
 
@@ -95,47 +104,74 @@ Status UniformCopy(rel::Database& db, const std::string& in_rel,
 
 /// P := π_attrs(R) on the uniform relations: the template's columns are
 /// projected (TID kept) and only the kept attributes' F/C entries are
-/// copied — exact marginalization of the dropped component columns.
-/// Returns Unsupported when a dropped placeholder encodes conditional
-/// tuple presence (a ⊥, i.e. a local world with no C row): that projection
-/// needs component composition, which is not expressible as a pure row
-/// rewriting — callers fall back to the template semantics.
+/// copied — exact marginalization of the dropped component columns. A
+/// dropped placeholder that carries ⊥ (a local world with no C row)
+/// encodes conditional tuple presence, which the output row keeps: its
+/// components are composed into one, D, and the kept placeholders in D
+/// keep their values only where the row is present — or, when the row
+/// keeps no placeholder in D, its first certain kept cell becomes a '?' in
+/// D holding its value there. Rows present in no local world are dropped.
 Status UniformProject(rel::Database& db, const std::string& in_rel,
                       const std::string& out_rel,
                       const std::vector<std::string>& attrs);
 
-/// Removes a template relation and its F/C rows. Local worlds whose
-/// component no longer has any field are garbage-collected by
-/// UniformCompact, not here.
+/// T := L − R on the uniform relations (schemas must match). An L row no
+/// R row can equal on its certain cells (or possible placeholder values)
+/// is copied unchanged; otherwise its components and its candidate R
+/// rows' are composed, and the row stays present exactly at the local
+/// worlds where it is present and no candidate is present with equal
+/// values (presence carried as in UniformProject).
+Status UniformDifference(rel::Database& db, const std::string& left,
+                         const std::string& right, const std::string& out);
+
+/// Removes a template relation and its F/C rows (a template without '?'
+/// cells has none, and C/F are not scanned). Local worlds whose component
+/// no longer has any field are garbage-collected by UniformCompact, not
+/// here.
 Status UniformDrop(rel::Database& db, const std::string& name);
 
-// -- Native update fragment (see core/wsdt_update.h for the semantics) ------
+// -- Updates (see core/wsdt_update.h for the semantics) ---------------------
 //
-// The purely relational slice of the update subsystem: operations that are
-// row rewritings of the template (plus F/C bookkeeping) run directly on the
-// store, exactly like the Figure 16 query rewritings. Anything needing
-// component composition — a world condition, a predicate touching '?'
-// cells, an assignment to a '?' cell — returns kUnsupported and the caller
-// falls back to the template semantics (import → WSDT update → export).
+// Every update runs as a row rewriting of the template and of C/F/W, like
+// the Figure 16 query rewritings. `guard` names the materialized answer of
+// a world condition (empty = every world): the update applies only in the
+// worlds where that relation is non-empty. A guard with no rows makes the
+// update a no-op; one with a row present in every world makes it
+// unconditional; otherwise the components carrying the guard rows' ⊥s are
+// composed into one, G, and every row the update touches is correlated
+// with G. Compositions past the local-world cap fail with
+// ResourceExhausted and leave the store untouched.
 
 /// Appends `tuples` (a fully certain instance) to template `rel` under
-/// fresh TIDs — insert-in-every-world as a pure row rewriting.
+/// fresh TIDs. Under a conditional guard the first cell of each new row is
+/// a '?' in G holding the tuple's value where G is non-empty.
 Status UniformInsert(rel::Database& db, const std::string& rel,
-                     const rel::Relation& tuples);
+                     const rel::Relation& tuples,
+                     const std::string& guard = {});
 
-/// delete from `rel` where `pred` when every row's predicate decides on
-/// certain template cells alone: decided-true rows are removed with their
-/// F/C entries (explicit TIDs keep the others stable). kUnsupported when
-/// any row's predicate is unknown.
+/// delete from `rel` where `pred`: rows matching on certain cells are
+/// removed with their F/C entries (explicit TIDs keep the others stable);
+/// a row the guard restricts keeps its presence only where G is empty; a
+/// row whose decision rests on '?' cells loses those cells' values at the
+/// local worlds where the predicate holds (and G is non-empty).
 Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
-                          const rel::Predicate& pred);
+                          const rel::Predicate& pred,
+                          const std::string& guard = {});
 
-/// update `rel` set `assignments` where `pred` when every row decides
-/// certainly and no affected row has a '?' in an assigned cell; otherwise
-/// kUnsupported.
+/// update `rel` set `assignments` where `pred`: certain matches overwrite
+/// template cells and every value of an assigned placeholder; a match
+/// decided per local world (a '?'-cell predicate or a guard) makes each
+/// assigned cell a '?' holding the new value where the match holds and
+/// the old value elsewhere.
 Status UniformModifyWhere(rel::Database& db, const std::string& rel,
                           const rel::Predicate& pred,
-                          std::span<const rel::Assignment> assignments);
+                          std::span<const rel::Assignment> assignments,
+                          const std::string& guard = {});
+
+/// Dispatches `op` (already validated by the engine driver) to the three
+/// operators above under world condition `guard`.
+Status UniformApplyUpdate(rel::Database& db, const rel::UpdateOp& op,
+                          const std::string& guard);
 
 /// Garbage-collects W rows whose CID no longer appears in F (components
 /// fully dropped with their last relation).

@@ -9,8 +9,9 @@
 //
 // These free functions are the WSDT implementation behind the engine's
 // answer surface (WorldSetOps::PossibleTuples/CertainTuples/…) — the
-// uniform backend delegates here too after importing its store; callers
-// that do not already hold a bare Wsdt should go through api::Session.
+// uniform backend delegates here too, on one relation's slice of its
+// store; callers that do not already hold a bare Wsdt should go through
+// api::Session.
 
 #ifndef MAYWSD_CORE_WSDT_CONFIDENCE_H_
 #define MAYWSD_CORE_WSDT_CONFIDENCE_H_

@@ -15,6 +15,7 @@
 #ifndef MAYWSD_REL_RELATION_H_
 #define MAYWSD_REL_RELATION_H_
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -90,6 +91,14 @@ class Relation {
     if (!data().empty()) data_.Reset({});
   }
 
+  /// Keeps exactly the rows for which `keep(TupleRef)` returns true,
+  /// compacting the storage in place (survivors keep their order). `keep`
+  /// sees every row exactly once, in order, so it may record what it
+  /// drops. Shared storage is privatized only when some row is actually
+  /// removed. Returns the number of removed rows.
+  template <typename Keep>
+  size_t RetainRows(Keep&& keep);
+
   /// Sorts rows and removes duplicates (set-semantics normal form).
   void SortDedup();
 
@@ -124,6 +133,25 @@ class Relation {
   Schema schema_;
   Cow<std::vector<Value>> data_;
 };
+
+template <typename Keep>
+size_t Relation::RetainRows(Keep&& keep) {
+  const size_t n = NumRows();
+  const size_t k = arity();
+  size_t first = 0;
+  while (first < n && keep(row(first))) ++first;
+  if (first == n) return 0;
+  std::vector<Value>& rows = MutableData();
+  size_t out = first;
+  for (size_t r = first + 1; r < n; ++r) {
+    if (!keep(TupleRef(rows.data() + r * k, k))) continue;
+    std::move(rows.begin() + r * k, rows.begin() + (r + 1) * k,
+              rows.begin() + out * k);
+    ++out;
+  }
+  rows.resize(out * k);
+  return n - out;
+}
 
 }  // namespace maywsd::rel
 

@@ -188,6 +188,11 @@ TEST_P(CrossBackendProperty, UnifiedDriverAgreesOnAllBackends) {
         EXPECT_TRUE(WorldSetsEquivalent(*expected, *out))
             << "backend disagrees with the per-world reference on "
             << plan.ToString() << " seed " << GetParam();
+        if (kind == api::BackendKind::kUniform) {
+          // Every operator is a native C/F/W rewriting on uniform.
+          EXPECT_EQ(session.Stats().round_trips, 0u)
+              << "uniform round-tripped on " << plan.ToString();
+        }
 
         // The scratch-relation lifecycle must not leak intermediates into
         // any representation.

@@ -122,6 +122,29 @@ TEST(RelationTest, SetCell) {
   EXPECT_EQ(r.row(0)[1], I(99));
 }
 
+TEST(RelationTest, RetainRowsCompactsInPlaceAndKeepsSharingWhenNothingGoes) {
+  Relation r = MakeR();
+  Relation shared = r;
+  // Nothing removed: the copy-on-write storage stays shared.
+  EXPECT_EQ(r.RetainRows([](TupleRef) { return true; }), 0u);
+  EXPECT_TRUE(r.SharesDataWith(shared));
+  // Every row visited once, in order; survivors keep their order.
+  std::vector<Value> seen;
+  EXPECT_EQ(r.RetainRows([&](TupleRef row) {
+              seen.push_back(row[0]);
+              return row[0] == I(2);
+            }),
+            1u);
+  EXPECT_EQ(seen, (std::vector<Value>{I(2), I(1), I(2)}));
+  ASSERT_EQ(r.NumRows(), 2u);
+  EXPECT_EQ(r.row(0)[0], I(2));
+  EXPECT_EQ(r.row(1)[0], I(2));
+  EXPECT_FALSE(r.SharesDataWith(shared));
+  EXPECT_EQ(shared.NumRows(), 3u);
+  EXPECT_EQ(r.RetainRows([](TupleRef) { return false; }), 2u);
+  EXPECT_TRUE(r.empty());
+}
+
 TEST(DatabaseTest, AddGetDrop) {
   Database db;
   EXPECT_TRUE(db.AddRelation(MakeR()).ok());

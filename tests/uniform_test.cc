@@ -7,6 +7,8 @@
 #include "core/engine/plan_driver.h"
 #include "core/engine/uniform_backend.h"
 #include "core/wsdt_algebra.h"
+#include "core/wsdt_confidence.h"
+#include "core/wsdt_update.h"
 #include "core/worldset.h"
 #include "tests/test_util.h"
 
@@ -465,6 +467,370 @@ TEST(UniformTest, SessionSelectAttrAttrPaysNoRoundTrip) {
   ASSERT_TRUE(up.ok());
   ASSERT_TRUE(rp.ok());
   EXPECT_TRUE(up->EqualsAsSet(*rp));
+}
+
+
+// -- Native ⊥-projection, difference and guarded updates --------------------
+
+/// The world set of `rels` encoded by a uniform store.
+std::vector<PossibleWorld> UniformWorlds(const rel::Database& db,
+                                         const std::vector<std::string>& rels) {
+  auto wsdt = ImportUniform(db);
+  EXPECT_TRUE(wsdt.ok()) << wsdt.status();
+  if (!wsdt.ok()) return {};
+  return wsdt->ToWsd().value().EnumerateWorlds(4000000, rels).value();
+}
+
+std::vector<PossibleWorld> WsdtWorlds(const Wsdt& wsdt,
+                                      const std::vector<std::string>& rels) {
+  return wsdt.ToWsd().value().EnumerateWorlds(4000000, rels).value();
+}
+
+/// R(A, B, C) exercising every presence case of a ⊥-projection:
+///   t0 = (?, ?, 7)  A, B share K1 and B is ⊥ in one local world;
+///   t1 = (?, 5, ?)  A in K2, C in K3 where C carries ⊥;
+///   t2 = (?, ?, 3)  A in K4 and B in K5, both carrying ⊥;
+///   t3 = (1, ?, 2)  B in K6 without ⊥.
+Wsdt PresenceWsdt() {
+  Wsdt wsdt;
+  rel::Relation tmpl(rel::Schema::FromNames({"A", "B", "C"}), "R");
+  tmpl.AppendRow({Q(), Q(), I(7)});
+  tmpl.AppendRow({Q(), I(5), Q()});
+  tmpl.AppendRow({Q(), Q(), I(3)});
+  tmpl.AppendRow({I(1), Q(), I(2)});
+  EXPECT_TRUE(wsdt.AddTemplateRelation(std::move(tmpl)).ok());
+  Component k1({FieldKey("R", 0, "A"), FieldKey("R", 0, "B")});
+  k1.AddWorld({I(1), I(10)}, 0.5);
+  k1.AddWorld({I(2), testutil::Bot()}, 0.2);
+  k1.AddWorld({I(3), I(30)}, 0.3);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(k1)).ok());
+  Component k2({FieldKey("R", 1, "A")});
+  k2.AddWorld({I(4)}, 0.5);
+  k2.AddWorld({I(5)}, 0.5);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(k2)).ok());
+  Component k3({FieldKey("R", 1, "C")});
+  k3.AddWorld({testutil::Bot()}, 0.3);
+  k3.AddWorld({I(9)}, 0.7);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(k3)).ok());
+  Component k4({FieldKey("R", 2, "A")});
+  k4.AddWorld({testutil::Bot()}, 0.4);
+  k4.AddWorld({I(1)}, 0.6);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(k4)).ok());
+  Component k5({FieldKey("R", 2, "B")});
+  k5.AddWorld({testutil::Bot()}, 0.1);
+  k5.AddWorld({I(2)}, 0.9);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(k5)).ok());
+  Component k6({FieldKey("R", 3, "B")});
+  k6.AddWorld({I(8)}, 0.5);
+  k6.AddWorld({I(9)}, 0.5);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(k6)).ok());
+  return wsdt;
+}
+
+TEST(UniformTest, ProjectKeepsConditionalPresenceNatively) {
+  // {A}: t0 restricts A inside K1; t1 keeps no certain cell, so K2 and K3
+  // compose; t2's ⊥s span K4 and K5. {A, B} and {B, C} carry t1's presence
+  // on a certain cell turned '?'; {C} carries t2's on C.
+  for (const std::vector<std::string>& attrs :
+       std::vector<std::vector<std::string>>{
+           {"A"}, {"A", "B"}, {"C"}, {"B", "C"}, {"C", "A"}}) {
+    Wsdt wsdt = PresenceWsdt();
+    rel::Database db = ExportUniform(wsdt).value();
+    ASSERT_TRUE(UniformProject(db, "R", "P", attrs).ok());
+    ASSERT_TRUE(ValidateUniform(db).ok()) << attrs.size();
+    ASSERT_TRUE(WsdtProject(wsdt, "R", "P", attrs).ok());
+    EXPECT_TRUE(WorldSetsEquivalent(UniformWorlds(db, {"R", "P"}),
+                                    WsdtWorlds(wsdt, {"R", "P"})))
+        << attrs.front() << " … (" << attrs.size() << " attributes)";
+  }
+}
+
+TEST(UniformTest, ProjectMatchesNativePathOnRandomStores) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    for (const std::vector<std::string>& attrs :
+         std::vector<std::vector<std::string>>{{"A"}, {"B"}}) {
+      Wsdt wsdt = RandomSmallWsdt(seed);
+      rel::Database db = ExportUniform(wsdt).value();
+      ASSERT_TRUE(UniformProject(db, "R", "P", attrs).ok());
+      ASSERT_TRUE(ValidateUniform(db).ok()) << "seed " << seed;
+      ASSERT_TRUE(WsdtProject(wsdt, "R", "P", attrs).ok());
+      EXPECT_TRUE(WorldSetsEquivalent(UniformWorlds(db, {"R", "S", "P"}),
+                                      WsdtWorlds(wsdt, {"R", "S", "P"})))
+          << "seed " << seed << " π_" << attrs[0];
+    }
+  }
+}
+
+TEST(UniformTest, DifferenceMatchesNativePath) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    for (auto [left, right] : {std::pair<const char*, const char*>{"R", "R2"},
+                               {"R2", "R"}}) {
+      Wsdt wsdt = RandomSmallWsdt(seed);
+      rel::Database db = ExportUniform(wsdt).value();
+      ASSERT_TRUE(UniformDifference(db, left, right, "T").ok());
+      ASSERT_TRUE(ValidateUniform(db).ok()) << "seed " << seed;
+      ASSERT_TRUE(WsdtDifference(wsdt, left, right, "T").ok());
+      EXPECT_TRUE(WorldSetsEquivalent(UniformWorlds(db, {"R", "R2", "T"}),
+                                      WsdtWorlds(wsdt, {"R", "R2", "T"})))
+          << "seed " << seed << " " << left << " − " << right;
+    }
+  }
+}
+
+TEST(UniformTest, DifferenceComposesCandidateComponents) {
+  // L = {(1), (?)}: the certain (1) faces R's placeholders in two
+  // independent components (one carrying ⊥), so it becomes a '?' in their
+  // composition; L's own placeholder composes with both.
+  Wsdt wsdt;
+  rel::Relation l(rel::Schema::FromNames({"A"}), "L");
+  l.AppendRow({I(1)});
+  l.AppendRow({Q()});
+  l.AppendRow({I(7)});  // no R row can equal it: copied unchanged
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(l)).ok());
+  rel::Relation r(rel::Schema::FromNames({"A"}), "R");
+  r.AppendRow({Q()});
+  r.AppendRow({Q()});
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(r)).ok());
+  Component kl({FieldKey("L", 1, "A")});
+  kl.AddWorld({I(1)}, 0.5);
+  kl.AddWorld({I(2)}, 0.5);
+  ASSERT_TRUE(wsdt.AddComponent(std::move(kl)).ok());
+  Component k0({FieldKey("R", 0, "A")});
+  k0.AddWorld({I(1)}, 0.6);
+  k0.AddWorld({testutil::Bot()}, 0.4);
+  ASSERT_TRUE(wsdt.AddComponent(std::move(k0)).ok());
+  Component k1({FieldKey("R", 1, "A")});
+  k1.AddWorld({I(2)}, 0.3);
+  k1.AddWorld({I(3)}, 0.7);
+  ASSERT_TRUE(wsdt.AddComponent(std::move(k1)).ok());
+
+  rel::Database db = ExportUniform(wsdt).value();
+  ASSERT_TRUE(UniformDifference(db, "L", "R", "T").ok());
+  ASSERT_TRUE(ValidateUniform(db).ok());
+  ASSERT_TRUE(WsdtDifference(wsdt, "L", "R", "T").ok());
+  EXPECT_TRUE(WorldSetsEquivalent(UniformWorlds(db, {"T"}),
+                                  WsdtWorlds(wsdt, {"T"})));
+  // The certain 7 stayed certain.
+  const rel::Relation* t = db.GetRelation("T").value();
+  bool seven = false;
+  for (size_t i = 0; i < t->NumRows(); ++i) seven |= t->row(i)[1] == I(7);
+  EXPECT_TRUE(seven);
+}
+
+/// R(A, B) rows in every update-relevant shape plus a guard relation G
+/// whose rows are conditionally present: G.t0 carries ⊥ in KG (shared with
+/// R.t1.A), G.t1 in its own KH.
+Wsdt GuardedWsdt() {
+  Wsdt wsdt;
+  rel::Relation r(rel::Schema::FromNames({"A", "B"}), "R");
+  r.AppendRow({I(1), I(2)});  // certain
+  r.AppendRow({Q(), I(3)});   // A in KG, with G
+  r.AppendRow({Q(), Q()});    // A, B in KR (own component, ⊥ once)
+  r.AppendRow({I(1), Q()});   // B in KB
+  EXPECT_TRUE(wsdt.AddTemplateRelation(std::move(r)).ok());
+  rel::Relation g(rel::Schema::FromNames({"X"}), "G");
+  g.AppendRow({Q()});
+  g.AppendRow({Q()});
+  EXPECT_TRUE(wsdt.AddTemplateRelation(std::move(g)).ok());
+  Component kg({FieldKey("G", 0, "X"), FieldKey("R", 1, "A")});
+  kg.AddWorld({I(0), I(1)}, 0.5);
+  kg.AddWorld({testutil::Bot(), I(2)}, 0.5);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(kg)).ok());
+  Component kh({FieldKey("G", 1, "X")});
+  kh.AddWorld({testutil::Bot()}, 0.8);
+  kh.AddWorld({I(0)}, 0.2);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(kh)).ok());
+  Component kr({FieldKey("R", 2, "A"), FieldKey("R", 2, "B")});
+  kr.AddWorld({I(1), I(1)}, 0.3);
+  kr.AddWorld({I(2), testutil::Bot()}, 0.3);
+  kr.AddWorld({I(1), I(5)}, 0.4);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(kr)).ok());
+  Component kb({FieldKey("R", 3, "B")});
+  kb.AddWorld({I(2)}, 0.5);
+  kb.AddWorld({I(6)}, 0.5);
+  EXPECT_TRUE(wsdt.AddComponent(std::move(kb)).ok());
+  return wsdt;
+}
+
+TEST(UniformTest, GuardedUpdatesMatchNativePath) {
+  using rel::Predicate;
+  using rel::UpdateOp;
+  rel::Relation tuples(rel::Schema::FromNames({"A", "B"}), "tuples");
+  tuples.AppendRow({I(4), I(4)});
+  std::vector<UpdateOp> ops = {
+      UpdateOp::InsertTuples("R", tuples),
+      UpdateOp::DeleteWhere("R", Predicate::Cmp("A", rel::CmpOp::kEq, I(1))),
+      UpdateOp::DeleteWhere("R", Predicate::Cmp("B", rel::CmpOp::kGe, I(2))),
+      UpdateOp::DeleteWhere("R", Predicate::CmpAttr("A", rel::CmpOp::kEq, "B")),
+      UpdateOp::ModifyWhere("R", Predicate::Cmp("A", rel::CmpOp::kEq, I(1)),
+                            {{"B", I(9)}}),
+      UpdateOp::ModifyWhere("R", Predicate::Cmp("B", rel::CmpOp::kLt, I(4)),
+                            {{"A", I(7)}, {"B", I(8)}}),
+      UpdateOp::ModifyWhere("R", Predicate::True(), {{"A", I(0)}}),
+  };
+  // "G" is conditional, "" unconditional, "E" empty, "K" certainly
+  // non-empty.
+  for (const char* guard : {"G", "", "E", "K"}) {
+    for (const UpdateOp& op : ops) {
+      Wsdt wsdt = GuardedWsdt();
+      rel::Relation e(rel::Schema::FromNames({"X"}), "E");
+      ASSERT_TRUE(wsdt.AddTemplateRelation(e).ok());
+      rel::Relation k(rel::Schema::FromNames({"X"}), "K");
+      k.AppendRow({I(0)});
+      ASSERT_TRUE(wsdt.AddTemplateRelation(k).ok());
+      rel::Database db = ExportUniform(wsdt).value();
+      Status st = UniformApplyUpdate(db, op, guard);
+      ASSERT_TRUE(st.ok()) << op.ToString() << " guard " << guard << ": "
+                           << st;
+      ASSERT_TRUE(ValidateUniform(db).ok())
+          << op.ToString() << " guard " << guard;
+      ASSERT_TRUE(WsdtApplyUpdate(wsdt, op, guard).ok());
+      EXPECT_TRUE(WorldSetsEquivalent(UniformWorlds(db, {"R", "G"}),
+                                      WsdtWorlds(wsdt, {"R", "G"})))
+          << op.ToString() << " guard '" << guard << "'";
+    }
+  }
+}
+
+TEST(UniformTest, GuardedUpdatesMatchNativePathOnRandomStores) {
+  using rel::Predicate;
+  using rel::UpdateOp;
+  rel::Relation tuples(rel::Schema::FromNames({"A", "B"}), "tuples");
+  tuples.AppendRow({I(0), I(1)});
+  std::vector<UpdateOp> ops = {
+      UpdateOp::InsertTuples("R", tuples),
+      UpdateOp::DeleteWhere("R", Predicate::Cmp("A", rel::CmpOp::kLe, I(1))),
+      UpdateOp::ModifyWhere("R", Predicate::Cmp("B", rel::CmpOp::kNe, I(0)),
+                            {{"A", I(2)}}),
+  };
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    for (const UpdateOp& op : ops) {
+      // The guard is σ_{C=1}(S): conditionally present in most seeds.
+      Wsdt wsdt = RandomSmallWsdt(seed);
+      rel::Database db = ExportUniform(wsdt).value();
+      ASSERT_TRUE(
+          UniformSelectConst(db, "S", "G", "C", rel::CmpOp::kEq, I(1)).ok());
+      ASSERT_TRUE(WsdtSelect(wsdt, "S", "G",
+                             Predicate::Cmp("C", rel::CmpOp::kEq, I(1)))
+                      .ok());
+      ASSERT_TRUE(UniformApplyUpdate(db, op, "G").ok()) << op.ToString();
+      ASSERT_TRUE(ValidateUniform(db).ok()) << "seed " << seed;
+      ASSERT_TRUE(WsdtApplyUpdate(wsdt, op, "G").ok());
+      EXPECT_TRUE(WorldSetsEquivalent(UniformWorlds(db, {"R", "S"}),
+                                      WsdtWorlds(wsdt, {"R", "S"})))
+          << "seed " << seed << " " << op.ToString();
+    }
+  }
+}
+
+/// Every relation of `db`, for before/after comparisons.
+std::map<std::string, rel::Relation> Snapshot(const rel::Database& db) {
+  std::map<std::string, rel::Relation> out;
+  for (const std::string& name : db.Names()) {
+    out.emplace(name, *db.GetRelation(name).value());
+  }
+  return out;
+}
+
+bool SameRelations(const std::map<std::string, rel::Relation>& a,
+                   const std::map<std::string, rel::Relation>& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [name, rel] : a) {
+    auto it = b.find(name);
+    if (it == b.end() || it->second.data() != rel.data()) return false;
+  }
+  return true;
+}
+
+TEST(UniformTest, ComposeCapLeavesStoreUntouched) {
+  // 21 independent two-world placeholders: composing them all needs 2^21
+  // local worlds, past the cap.
+  constexpr int kComps = 21;
+  Wsdt wsdt;
+  rel::Relation l(rel::Schema::FromNames({"A"}), "L");
+  l.AppendRow({I(0)});
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(l)).ok());
+  rel::Relation r(rel::Schema::FromNames({"A"}), "R");
+  rel::Relation g(rel::Schema::FromNames({"X"}), "G");
+  for (int i = 0; i < kComps; ++i) {
+    r.AppendRow({Q()});
+    g.AppendRow({Q()});
+  }
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(r)).ok());
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(g)).ok());
+  for (int i = 0; i < kComps; ++i) {
+    Component cr({FieldKey("R", i, "A")});
+    cr.AddWorld({I(0)}, 0.5);
+    cr.AddWorld({I(1)}, 0.5);
+    ASSERT_TRUE(wsdt.AddComponent(std::move(cr)).ok());
+    Component cg({FieldKey("G", i, "X")});
+    cg.AddWorld({I(0)}, 0.5);
+    cg.AddWorld({testutil::Bot()}, 0.5);
+    ASSERT_TRUE(wsdt.AddComponent(std::move(cg)).ok());
+  }
+  rel::Database db = ExportUniform(wsdt).value();
+  const auto before = Snapshot(db);
+
+  Status st = UniformDifference(db, "L", "R", "T");
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+  EXPECT_TRUE(SameRelations(before, Snapshot(db)));
+
+  st = UniformDeleteWhere(db, "L", rel::Predicate::True(), "G");
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+  EXPECT_TRUE(SameRelations(before, Snapshot(db)));
+
+  st = UniformProject(db, "R", "P", {"A"});  // no ⊥ to carry: native copy
+  EXPECT_TRUE(st.ok()) << st;
+}
+
+TEST(UniformTest, AnswersFromRelationSliceMatchFullImport) {
+  // One component spans R and S; S's field carries ⊥.
+  Wsdt wsdt;
+  rel::Relation r(rel::Schema::FromNames({"A"}), "R");
+  r.AppendRow({Q()});
+  r.AppendRow({I(5)});
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(r)).ok());
+  rel::Relation s(rel::Schema::FromNames({"B"}), "S");
+  s.AppendRow({Q()});
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(s)).ok());
+  Component k({FieldKey("R", 0, "A"), FieldKey("S", 0, "B")});
+  k.AddWorld({I(1), I(2)}, 0.5);
+  k.AddWorld({I(1), testutil::Bot()}, 0.2);
+  k.AddWorld({I(3), I(4)}, 0.3);
+  ASSERT_TRUE(wsdt.AddComponent(std::move(k)).ok());
+  rel::Database db = ExportUniform(wsdt).value();
+  Wsdt full = ImportUniform(db).value();
+
+  engine::UniformBackend backend(db);
+  for (const char* name : {"R", "S"}) {
+    auto sliced = backend.PossibleTuplesWithConfidence(name);
+    auto reference = WsdtPossibleTuplesWithConfidence(full, name);
+    ASSERT_TRUE(sliced.ok() && reference.ok()) << name;
+    EXPECT_TRUE(sliced->EqualsAsSet(*reference)) << name;
+    auto certain = backend.CertainTuples(name);
+    ASSERT_TRUE(certain.ok()) << name;
+    EXPECT_TRUE(certain->EqualsAsSet(WsdtCertainTuples(full, name).value()));
+    for (int64_t v : {1, 2, 3, 4, 5}) {
+      std::vector<rel::Value> tuple = {I(v)};
+      EXPECT_NEAR(backend.TupleConfidence(name, tuple).value(),
+                  WsdtTupleConfidence(full, name, tuple).value(), 1e-12)
+          << name << " " << v;
+      EXPECT_EQ(backend.TupleCertain(name, tuple).value(),
+                WsdtTupleCertain(full, name, tuple).value())
+          << name << " " << v;
+    }
+  }
+  EXPECT_NEAR(backend.TupleConfidence("S", std::vector<rel::Value>{I(2)})
+                  .value(),
+              0.5, 1e-12);
+
+  // A scoped import still rejects a dangling F reference into a named
+  // relation, and skips the rows of relations it does not name.
+  db.GetMutableRelation(kUniformF).value()->AppendRow(
+      {S("R"), I(99), S("A"), I(0)});
+  EXPECT_FALSE(ImportUniform(db, {"R"}).ok());
+  EXPECT_TRUE(ImportUniform(db, {"S"}).ok());
+  EXPECT_FALSE(backend.PossibleTuples("R").ok());
 }
 
 }  // namespace

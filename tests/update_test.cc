@@ -434,11 +434,13 @@ TEST_P(UpdateOracleProperty, AllThreeBackendsMatchPerWorldReference) {
       EXPECT_TRUE(WorldSetsEquivalent(truth, *expanded))
           << b.name << " diverges from the per-world reference after "
           << op.ToString() << " at step " << step;
-      if (b.session->kind() == api::BackendKind::kUrel) {
-        // Guarded updates are native descriptor rewritings on urel.
+      if (b.session->kind() == api::BackendKind::kUrel ||
+          b.session->kind() == api::BackendKind::kUniform) {
+        // Guarded updates are native rewritings on urel (descriptors) and
+        // on uniform (C/F/W rows).
         EXPECT_EQ(b.session->Stats().round_trips, 0u)
-            << "urel round-tripped on " << op.ToString() << " at step "
-            << step;
+            << b.name << " round-tripped on " << op.ToString()
+            << " at step " << step;
       }
     }
   }
