@@ -48,6 +48,10 @@ struct Sample {
   // the run (Session::Stats): 0 on representation-native paths — the
   // U-relations claim is that positive RA stays at 0.
   uint64_t round_trips = 0;
+  // Runs that fanned out across workers (Session::Stats): 0 for every
+  // census query, since none scans a second relation (the engine's
+  // single-leaf cost rule); the parallel section exits non-zero otherwise.
+  uint64_t sharded_runs = 0;
 };
 
 void WriteJson(const char* path, const std::vector<Sample>& samples) {
@@ -63,10 +67,11 @@ void WriteJson(const char* path, const std::vector<Sample>& samples) {
                  "    {\"query\": %d, \"rows\": %zu, \"density\": %g, "
                  "\"backend\": \"%s\", \"seconds\": %.6f, "
                  "\"result_rows\": %zu, \"threads\": %d, "
-                 "\"round_trips\": %llu}%s\n",
+                 "\"round_trips\": %llu, \"sharded_runs\": %llu}%s\n",
                  s.query, s.rows, s.density, s.backend, s.seconds,
                  s.result_rows, s.threads,
                  static_cast<unsigned long long>(s.round_trips),
+                 static_cast<unsigned long long>(s.sharded_runs),
                  i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -207,17 +212,14 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // Parallel fan-out: the same queries through Session with a sharded
-  // worker pool (threads ∈ {1, 2, 4}). The WSDT column measures the raw
-  // data-parallel fan-out (template rows partition into independent
-  // component groups at census densities, so Q1–Q4/Q6 shard; Q5 scans R
-  // twice and falls back). The uniform column additionally profits
-  // single-threaded: a sharded run pays ONE import/export round trip for
-  // the whole plan instead of one per non-relational operator. The urel
-  // column runs at the full WSDT size; its cost gate declines the fan-out
-  // for Q1–Q4/Q6 (single-leaf unary chains are one bandwidth-bound pass —
-  // slicing every column of the store first can only lose) and Q5 scans R
-  // twice, so the urel t≥2 columns measure the sequential path and must
-  // match t=1 instead of regressing behind slice-construction cost.
+  // worker pool (threads ∈ {1, 2, 4}). No census query fans out on any
+  // backend: Q1–Q4 and Q6 scan R alone, and the engine's cost rule
+  // declines single-leaf plans (a unary chain is one bandwidth-bound pass
+  // — slicing the relation first can only lose); Q5 scans R twice, so no
+  // slice distributes over it. The t≥2 columns therefore measure the
+  // sequential path and must match t=1 instead of regressing behind
+  // slice-construction cost. The harness gates that structurally: any
+  // sample reporting a sharded run fails it.
   {
     const double kPDensity = 0.001;
     std::printf(
@@ -263,8 +265,16 @@ int main(int argc, char** argv) {
             n = out->NumRows();
           }
           per_thread[t] = secs;
+          if (session.Stats().sharded_runs != 0) {
+            std::fprintf(stderr,
+                         "parallel %s Q%d (t=%d) fanned out; single-leaf "
+                         "census queries must run sequentially\n",
+                         cell.backend, q, t);
+            return 1;
+          }
           samples.push_back({q, cell.rows, kPDensity, cell.backend, secs, n,
-                             t, session.Stats().round_trips});
+                             t, session.Stats().round_trips,
+                             session.Stats().sharded_runs});
         }
         std::printf("%10zu %8s %6d %12.4f %12.4f %12.4f %9.2fx\n", cell.rows,
                     cell.backend, q, per_thread[1], per_thread[2],

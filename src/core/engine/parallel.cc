@@ -169,39 +169,41 @@ void AnalyzePlan(const rel::Plan& plan, bool distributive,
 
 /// Picks the relation to partition: the first leaf (in scan preorder) that
 /// occurs exactly once on a distributive path while every other scanned
-/// relation is certain. Returns an empty optional-like request when no
-/// leaf qualifies.
+/// relation is certain. Returns a null request when no leaf qualifies.
+///
+/// The fan-out cost rule lives here, for every backend: a query plan whose
+/// only scanned relation is the partitioned one never fans out. Such a
+/// plan is a unary σ/π/δ chain — one bandwidth-bound pass over the
+/// relation — and building the shard slices copies every row of it first,
+/// which costs as much as the pass it would parallelize. A plan with a
+/// second (certain) leaf does superlinear per-row work (products, joins)
+/// that amortizes the slice. Update fan-outs are not queries: the backend
+/// alone accepts or declines them (ShardRequest::for_update).
 Result<std::unique_ptr<ShardRequest>> FindShardCandidate(
     const WorldSetOps& ops, const rel::Plan& plan, size_t max_shards) {
   std::unordered_map<std::string, LeafInfo> leaves;
   std::vector<std::string> leaf_order;
   AnalyzePlan(plan, /*distributive=*/true, &leaves, &leaf_order);
-  if (leaf_order.empty()) return std::unique_ptr<ShardRequest>();
-  // Certainty per distinct leaf, computed once.
-  std::unordered_map<std::string, bool> certain;
+  if (leaf_order.size() < 2) return std::unique_ptr<ShardRequest>();
   for (const std::string& name : leaf_order) {
     if (!ops.HasRelation(name)) return std::unique_ptr<ShardRequest>();
-    MAYWSD_ASSIGN_OR_RETURN(bool c, ops.RelationCertain(name));
-    certain[name] = c;
   }
   for (const std::string& name : leaf_order) {
     const LeafInfo& info = leaves.at(name);
     if (info.occurrences != 1 || !info.distributive) continue;
-    bool others_certain = true;
-    for (const std::string& other : leaf_order) {
-      if (other != name && !certain.at(other)) {
-        others_certain = false;
-        break;
-      }
-    }
-    if (!others_certain) continue;
     auto req = std::make_unique<ShardRequest>();
     req->relation = name;
-    for (const std::string& other : leaf_order) {
-      if (other != name) req->aux_relations.push_back(other);
-    }
     req->max_shards = max_shards;
-    return req;
+    for (const std::string& other : leaf_order) {
+      if (other == name) continue;
+      MAYWSD_ASSIGN_OR_RETURN(bool certain, ops.RelationCertain(other));
+      if (!certain) {
+        req.reset();
+        break;
+      }
+      req->aux_relations.push_back(other);
+    }
+    if (req != nullptr) return req;
   }
   return std::unique_ptr<ShardRequest>();
 }
@@ -262,6 +264,44 @@ Status RunStreamingOrdered(size_t num_shards,
   return first_error;
 }
 
+/// The fan-out shared by queries and updates. Builds every slice of
+/// `shard_plan` on the pool, with a barrier: BuildShard only READS the
+/// parent, and everything after it mutates the parent. Then drops the
+/// parent's `dst` when it exists (an update fan-out replaces its relation
+/// by the mutated slices; a query's fresh `out` does not exist yet), runs
+/// `work` on every slice on the pool and streams each slice's `src` back
+/// into `dst` in shard-index order while slower slices still run. Fills
+/// `stats` on success.
+Status FanOut(WorldSetOps& ops, ShardPlan& shard_plan,
+              const std::function<Status(WorldSetOps&)>& work,
+              const std::string& src, const std::string& dst,
+              ParallelStats* stats) {
+  size_t num_shards = shard_plan.NumShards();
+  std::vector<std::unique_ptr<WorldSetOps>> shards(num_shards);
+  std::vector<std::function<Status()>> builds;
+  builds.reserve(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) {
+    builds.push_back([&shard_plan, &shards, i]() -> Status {
+      MAYWSD_ASSIGN_OR_RETURN(shards[i], shard_plan.BuildShard(i));
+      return Status::Ok();
+    });
+  }
+  for (Status& st : ThreadPool::Shared().RunAll(std::move(builds))) {
+    MAYWSD_RETURN_IF_ERROR(st);
+  }
+  if (ops.HasRelation(dst)) MAYWSD_RETURN_IF_ERROR(ops.Drop(dst));
+  MAYWSD_RETURN_IF_ERROR(RunStreamingOrdered(
+      num_shards, [&shards, &work](size_t i) { return work(*shards[i]); },
+      [&shard_plan, &shards, &src, &dst](size_t i) {
+        return shard_plan.Absorb(*shards[i], src, dst);
+      }));
+  if (stats != nullptr) {
+    stats->sharded = true;
+    stats->shards = num_shards;
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 // -- EvaluateParallel ---------------------------------------------------
@@ -281,46 +321,14 @@ Status EvaluateParallel(WorldSetOps& ops, const rel::Plan& plan,
                           ops.PlanShards(*req));
   if (shard_plan == nullptr) return Evaluate(ops, plan, out);
 
-  size_t num_shards = shard_plan->NumShards();
-  std::vector<std::unique_ptr<WorldSetOps>> shards(num_shards);
-  const ShardPlan* plan_view = shard_plan.get();
-  // Phase 1 — build every slice, with a barrier: BuildShard only READS the
-  // parent, and Absorb mutates it, so no absorb may start before the last
-  // build returned. Builds are slice copies — cheap next to evaluation.
-  std::vector<std::function<Status()>> builds;
-  builds.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    builds.push_back([plan_view, &shards, i]() -> Status {
-      MAYWSD_ASSIGN_OR_RETURN(shards[i], plan_view->BuildShard(i));
-      return Status::Ok();
-    });
-  }
-  for (Status& st : ThreadPool::Shared().RunAll(std::move(builds))) {
-    MAYWSD_RETURN_IF_ERROR(st);
-  }
-  // Phase 2 — evaluate per slice on the pool, streaming finished shards
-  // back in index order while slower ones still run. On any failure, drop
-  // the partially-built result so callers never observe a truncated `out`
-  // (the uniform plan only publishes on Finish, so its parent store needs
-  // no cleanup — the drop is a no-op there).
-  Status st = RunStreamingOrdered(
-      num_shards,
-      [&shards, &plan](size_t i) {
-        return Evaluate(*shards[i], plan, kShardOut);
-      },
-      [&shard_plan, &shards, &out](size_t i) {
-        return shard_plan->Absorb(i, *shards[i], kShardOut, out);
-      });
-  if (st.ok()) st = shard_plan->Finish();
-  if (!st.ok()) {
-    if (ops.HasRelation(out)) (void)ops.Drop(out);
-    return st;
-  }
-  if (stats != nullptr) {
-    stats->sharded = true;
-    stats->shards = num_shards;
-  }
-  return Status::Ok();
+  // Evaluate the whole plan per slice. On any failure, drop the
+  // partially-merged result so callers never observe a truncated `out`.
+  Status st = FanOut(
+      ops, *shard_plan,
+      [&plan](WorldSetOps& shard) { return Evaluate(shard, plan, kShardOut); },
+      kShardOut, out, stats);
+  if (!st.ok() && ops.HasRelation(out)) (void)ops.Drop(out);
+  return st;
 }
 
 // -- ApplyUpdatesSharded ------------------------------------------------
@@ -352,44 +360,19 @@ Status ApplyUpdatesSharded(WorldSetOps& ops,
                           ops.PlanShards(req));
   if (shard_plan == nullptr) return sequential();
 
-  size_t num_shards = shard_plan->NumShards();
-  std::vector<std::unique_ptr<WorldSetOps>> shards(num_shards);
-  const ShardPlan* plan_view = shard_plan.get();
-  std::vector<std::function<Status()>> builds;
-  builds.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    builds.push_back([plan_view, &shards, i]() -> Status {
-      MAYWSD_ASSIGN_OR_RETURN(shards[i], plan_view->BuildShard(i));
-      return Status::Ok();
-    });
-  }
-  for (Status& st : ThreadPool::Shared().RunAll(std::move(builds))) {
-    MAYWSD_RETURN_IF_ERROR(st);
-  }
-  // Replace-by-slices: drop the parent relation, run the whole update run
-  // on each slice on the pool (this is where the fan-out earns its copy:
-  // one slicing serves every update in the run), and stream the mutated
-  // slices back under the original name.
+  // Replace-by-slices: every slice applies the whole update run (this is
+  // where the fan-out earns its copy: one slicing serves every update in
+  // the run), and the mutated slices stream back under the original name.
   const std::string& name = run.front().relation();
-  MAYWSD_RETURN_IF_ERROR(ops.Drop(name));
-  Status st = RunStreamingOrdered(
-      num_shards,
-      [&shards, run](size_t i) -> Status {
+  return FanOut(
+      ops, *shard_plan,
+      [run](WorldSetOps& shard) -> Status {
         for (const rel::UpdateOp& op : run) {
-          MAYWSD_RETURN_IF_ERROR(shards[i]->ApplyUpdate(op, std::string()));
+          MAYWSD_RETURN_IF_ERROR(shard.ApplyUpdate(op, std::string()));
         }
         return Status::Ok();
       },
-      [&shard_plan, &shards, &name](size_t i) {
-        return shard_plan->Absorb(i, *shards[i], name, name);
-      });
-  if (st.ok()) st = shard_plan->Finish();
-  MAYWSD_RETURN_IF_ERROR(st);
-  if (stats != nullptr) {
-    stats->sharded = true;
-    stats->shards = num_shards;
-  }
-  return Status::Ok();
+      name, name, stats);
 }
 
 }  // namespace maywsd::core::engine

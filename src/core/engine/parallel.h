@@ -3,14 +3,16 @@
 // The facade-level entry point for queries is EvaluateParallel: it
 // decides whether a plan can run sharded on the backend (one scan of the
 // partitioned relation, reached through operators that distribute over a
-// union of tuple slices; every other scanned relation certain), asks the
-// backend for a ShardPlan, evaluates the whole plan once per independent
-// slice on the worker pool, and merges the shard results with an ordered
-// streaming merge: shard i is absorbed on the coordinating thread as soon
-// as shards 0..i finished, while slower shards are still executing —
-// shard-index order keeps the merge deterministic regardless of completion
-// order, without a wait-for-slowest barrier. Anything that does not fit falls
-// back to the sequential Evaluate with identical semantics.
+// union of tuple slices; every other scanned relation certain, and at
+// least one other — the fan-out cost rule, stated once in parallel.cc for
+// every backend), asks the backend for a ShardPlan, evaluates the whole
+// plan once per independent slice on the worker pool, and merges the
+// shard results with an ordered streaming merge: shard i is absorbed on
+// the coordinating thread as soon as shards 0..i finished, while slower
+// shards are still executing — shard-index order keeps the merge
+// deterministic regardless of completion order, without a
+// wait-for-slowest barrier. Anything that does not fit falls back to the
+// sequential Evaluate with identical semantics.
 //
 // ApplyUpdatesSharded is the update-side twin: a RUN of consecutive
 // unconditional deletes/modifies on one relation fans out over shard

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "core/engine/wsdt_backend.h"
-#include "core/uniform.h"
 
 namespace maywsd::core::engine {
 
@@ -122,12 +121,11 @@ Status AppendWsdtRelation(Wsdt& into, const Wsdt& from, const std::string& src,
 
 class WsdtShardPlan final : public ShardPlan {
  public:
-  WsdtShardPlan(const Wsdt* parent, Wsdt* absorb_into, std::string relation,
+  WsdtShardPlan(Wsdt* parent, std::string relation,
                 std::vector<std::string> aux,
                 std::vector<std::vector<TupleId>> shards,
                 std::vector<std::vector<size_t>> comps)
       : parent_(parent),
-        absorb_into_(absorb_into),
         relation_(std::move(relation)),
         aux_(std::move(aux)),
         shards_(std::move(shards)),
@@ -176,54 +174,18 @@ class WsdtShardPlan final : public ShardPlan {
         std::make_unique<WsdtBackend>(std::move(slice)));
   }
 
-  Status Absorb(size_t /*i*/, WorldSetOps& shard, const std::string& src,
+  Status Absorb(WorldSetOps& shard, const std::string& src,
                 const std::string& dst) override {
     auto& backend = static_cast<WsdtBackend&>(shard);
-    return AppendWsdtRelation(*absorb_into_, backend.wsdt(), src, dst);
+    return AppendWsdtRelation(*parent_, backend.wsdt(), src, dst);
   }
 
  private:
-  const Wsdt* parent_;
-  Wsdt* absorb_into_;
+  Wsdt* parent_;
   std::string relation_;
   std::vector<std::string> aux_;
   std::vector<std::vector<TupleId>> shards_;
   std::vector<std::vector<size_t>> comps_;  ///< per-shard component indices
-};
-
-// -- Uniform ------------------------------------------------------------
-
-class UniformShardPlan final : public ShardPlan {
- public:
-  UniformShardPlan(Wsdt imported, rel::Database* db)
-      : imported_(std::make_unique<Wsdt>(std::move(imported))), db_(db) {}
-
-  void set_inner(std::unique_ptr<ShardPlan> inner) {
-    inner_ = std::move(inner);
-  }
-  Wsdt* imported() { return imported_.get(); }
-
-  size_t NumShards() const override { return inner_->NumShards(); }
-
-  Result<std::unique_ptr<WorldSetOps>> BuildShard(size_t i) const override {
-    return inner_->BuildShard(i);
-  }
-
-  Status Absorb(size_t i, WorldSetOps& shard, const std::string& src,
-                const std::string& dst) override {
-    return inner_->Absorb(i, shard, src, dst);
-  }
-
-  Status Finish() override {
-    MAYWSD_ASSIGN_OR_RETURN(rel::Database out, ExportUniform(*imported_));
-    *db_ = std::move(out);
-    return Status::Ok();
-  }
-
- private:
-  std::unique_ptr<Wsdt> imported_;  // stable address for the inner plan
-  rel::Database* db_;
-  std::unique_ptr<ShardPlan> inner_;
 };
 
 /// Planning core: group `relation`'s slots by component links and cut
@@ -354,8 +316,7 @@ std::vector<std::vector<TupleId>> PartitionSlots(
   return shards;
 }
 
-Result<std::unique_ptr<ShardPlan>> MakeWsdtShardPlan(const Wsdt& parent,
-                                                     Wsdt* absorb_into,
+Result<std::unique_ptr<ShardPlan>> MakeWsdtShardPlan(Wsdt& parent,
                                                      const ShardRequest& req) {
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* tmpl,
                           parent.Template(req.relation));
@@ -368,24 +329,8 @@ Result<std::unique_ptr<ShardPlan>> MakeWsdtShardPlan(const Wsdt& parent,
       parent, shards, num_slots, sym, /*require_pure=*/req.for_update);
   if (!comps) return std::unique_ptr<ShardPlan>();
   return std::unique_ptr<ShardPlan>(std::make_unique<WsdtShardPlan>(
-      &parent, absorb_into, req.relation, req.aux_relations,
-      std::move(shards), std::move(*comps)));
-}
-
-Result<std::unique_ptr<ShardPlan>> MakeUniformShardPlan(
-    rel::Database& db, const ShardRequest& req) {
-  // Update fan-outs never pay off here: the plan's import + re-export
-  // round trip over the WHOLE store swamps any per-slice win over the
-  // backend's native one-pass update.
-  if (req.for_update) return std::unique_ptr<ShardPlan>();
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt imported, ImportUniform(db));
-  auto plan = std::make_unique<UniformShardPlan>(std::move(imported), &db);
-  MAYWSD_ASSIGN_OR_RETURN(
-      std::unique_ptr<ShardPlan> inner,
-      MakeWsdtShardPlan(*plan->imported(), plan->imported(), req));
-  if (inner == nullptr) return std::unique_ptr<ShardPlan>();
-  plan->set_inner(std::move(inner));
-  return std::unique_ptr<ShardPlan>(std::move(plan));
+      &parent, req.relation, req.aux_relations, std::move(shards),
+      std::move(*comps)));
 }
 
 }  // namespace maywsd::core::engine

@@ -7,15 +7,12 @@
 // groups into size-balanced shards, keeping group order by minimum slot id
 // so concatenating shard results reproduces the sequential slot order.
 //
-// The two factories build a ShardPlan (see world_set_ops.h for the
-// lifecycle) over each representation that slices (the WSD and WSDT
-// sessions both hold a WSDT):
-//  - WSDT: template-row slices; components projected to the sliced
-//    relation's columns (exact marginalization — a component row keeps the
-//    joint distribution of its remaining columns).
-//  - uniform: the C/F/W store is imported once, sharded as a WSDT, and
-//    re-exported on Finish() — the same template-semantics round trip the
-//    prototype used for non-relational operators.
+// MakeWsdtShardPlan builds the ShardPlan (see world_set_ops.h for the
+// lifecycle) of the WSDT backend, which the WSD and WSDT sessions share:
+// template-row slices, with components projected to the sliced relation's
+// columns (exact marginalization — a component row keeps the joint
+// distribution of its remaining columns). The U-relations store slices
+// through its own plan (urel_backend.cc) on top of PartitionSlots.
 
 #ifndef MAYWSD_CORE_ENGINE_SHARD_PLAN_H_
 #define MAYWSD_CORE_ENGINE_SHARD_PLAN_H_
@@ -28,7 +25,7 @@
 #include "core/engine/world_set_ops.h"
 #include "core/field.h"
 #include "core/wsdt.h"
-#include "rel/database.h"
+#include "rel/relation.h"
 
 namespace maywsd::core::engine {
 
@@ -44,23 +41,16 @@ std::vector<std::vector<TupleId>> PartitionSlots(
     TupleId num_slots, const std::vector<std::pair<TupleId, TupleId>>& links,
     size_t max_shards);
 
-/// True when a WSDT/uniform template is certain, i.e. carries no '?'
-/// placeholder ('?' is the only uncertainty carrier in a template —
-/// conditional presence needs a '?' column). Shared by the backends'
-/// RelationCertain and the shard builders' auxiliary re-verification.
+/// True when a WSDT template is certain, i.e. carries no '?' placeholder
+/// ('?' is the only uncertainty carrier in a template — conditional
+/// presence needs a '?' column). Shared by WsdtBackend::RelationCertain
+/// and the shard builder's auxiliary re-verification.
 bool TemplateIsCertain(const rel::Relation& tmpl);
 
 /// Shard plan over a WSDT. `parent` is sliced (read-only during
-/// BuildShard); shard results merge into `absorb_into` (usually the same
-/// object; the uniform plan points both at its imported store).
-Result<std::unique_ptr<ShardPlan>> MakeWsdtShardPlan(const Wsdt& parent,
-                                                     Wsdt* absorb_into,
+/// BuildShard) and shard results merge back into it.
+Result<std::unique_ptr<ShardPlan>> MakeWsdtShardPlan(Wsdt& parent,
                                                      const ShardRequest& req);
-
-/// Shard plan over a uniform C/F/W store: imports the store as a WSDT,
-/// shards that, and re-exports the merged store on Finish().
-Result<std::unique_ptr<ShardPlan>> MakeUniformShardPlan(
-    rel::Database& db, const ShardRequest& req);
 
 }  // namespace maywsd::core::engine
 

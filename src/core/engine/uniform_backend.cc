@@ -1,6 +1,5 @@
 #include "core/engine/uniform_backend.h"
 
-#include "core/engine/shard_plan.h"
 #include "core/uniform.h"
 #include "core/wsdt_confidence.h"
 
@@ -153,17 +152,6 @@ Result<bool> UniformBackend::TupleCertain(
     const std::string& relation, std::span<const rel::Value> tuple) const {
   MAYWSD_ASSIGN_OR_RETURN(Wsdt slice, Slice(relation));
   return WsdtTupleCertain(slice, relation, tuple);
-}
-
-Result<bool> UniformBackend::RelationCertain(const std::string& name) const {
-  if (IsSystemRelation(name)) return false;
-  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* tmpl, db_->GetRelation(name));
-  return TemplateIsCertain(*tmpl);
-}
-
-Result<std::unique_ptr<ShardPlan>> UniformBackend::PlanShards(
-    const ShardRequest& req) {
-  return MakeUniformShardPlan(*db_, req);
 }
 
 Result<Wsdt> UniformBackend::Slice(const std::string& relation) const {

@@ -10,8 +10,11 @@
 // relations through core/uniform; the store is never rebuilt from a WSDT,
 // so RoundTrips() stays 0. Answers import one relation's slice of the
 // store (its template, F and C rows, and the W rows of the components
-// they reference) and run the Section 6 confidence functions on it.
-// System relations are hidden from the catalog.
+// they reference) and run the Section 6 confidence functions on it —
+// the only import left on this backend. The store does not partition
+// (the interface's null PlanShards), so a threaded Session::Run
+// evaluates sequentially here. System relations are hidden from the
+// catalog.
 
 #ifndef MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_
 #define MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_
@@ -77,10 +80,6 @@ class UniformBackend : public WorldSetOps {
   /// assignments, are row rewritings of the template and of C/F/W.
   Status ApplyUpdate(const rel::UpdateOp& op,
                      const std::string& guard) override;
-
-  Result<bool> RelationCertain(const std::string& name) const override;
-  Result<std::unique_ptr<ShardPlan>> PlanShards(
-      const ShardRequest& req) override;
 
  private:
   /// The WSDT of `relation` alone: its template, F and C rows, and the W

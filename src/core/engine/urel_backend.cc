@@ -281,7 +281,7 @@ class UrelShardPlan final : public ShardPlan {
         std::make_unique<UrelBackend>(std::move(slice)));
   }
 
-  Status Absorb(size_t /*i*/, WorldSetOps& shard, const std::string& src,
+  Status Absorb(WorldSetOps& shard, const std::string& src,
                 const std::string& dst) override {
     auto& backend = static_cast<UrelBackend&>(shard);
     MAYWSD_ASSIGN_OR_RETURN(const UrelRelation* s, backend.urel().Get(src));
@@ -307,21 +307,16 @@ class UrelShardPlan final : public ShardPlan {
   std::vector<std::vector<TupleId>> shards_;
 };
 
-}  // namespace
-
+/// Shard plan over a U-relations store: rows sharing a variable co-shard
+/// (descriptors are the only correlation carriers); each slice shares the
+/// parent's symbol table copy-on-write, so descriptors and value ids
+/// transfer verbatim and absorbed rows stay exact.
 Result<std::unique_ptr<ShardPlan>> MakeUrelShardPlan(Urel& parent,
                                                      const ShardRequest& req) {
-  // Cost gate: a single-leaf plan is a unary select/project/rename chain —
-  // one bandwidth-bound pass over a few columns. Building a shard slice
-  // copies EVERY column of the partitioned relation, which already costs
-  // more than the scan it would parallelize, so a fan-out can only lose;
-  // decline and let the caller evaluate sequentially. Plans with a second
-  // (certain) leaf — joins, products — do superlinear per-row work that
-  // amortizes the slice. Update fan-outs decline for the same reason: the
-  // native columnar update is itself one bandwidth-bound pass.
-  if (req.aux_relations.empty() || req.for_update) {
-    return std::unique_ptr<ShardPlan>();
-  }
+  // Update fan-outs decline: the native columnar update is one
+  // bandwidth-bound pass, and slicing copies every column of the relation
+  // first, which already costs more than that pass.
+  if (req.for_update) return std::unique_ptr<ShardPlan>();
   MAYWSD_ASSIGN_OR_RETURN(const UrelRelation* r, parent.Get(req.relation));
   // Descriptors are the only correlation carriers: rows sharing a variable
   // must co-shard.
@@ -342,6 +337,8 @@ Result<std::unique_ptr<ShardPlan>> MakeUrelShardPlan(Urel& parent,
   return std::unique_ptr<ShardPlan>(std::make_unique<UrelShardPlan>(
       &parent, req.relation, req.aux_relations, std::move(shards)));
 }
+
+}  // namespace
 
 Result<std::unique_ptr<ShardPlan>> UrelBackend::PlanShards(
     const ShardRequest& req) {

@@ -116,16 +116,6 @@ class UrelBackend : public WorldSetOps {
   uint64_t round_trips_ = 0;
 };
 
-/// Shard plan over a U-relations store: rows sharing a variable co-shard
-/// (descriptors are the only correlation carriers); each slice shares the
-/// parent's symbol table copy-on-write, so descriptors and value ids
-/// transfer verbatim and absorbed rows stay exact. Declines (returns a
-/// null plan) for single-leaf requests — see the cost gate in the
-/// implementation: slicing every column costs more than the one
-/// bandwidth-bound pass a unary chain performs.
-Result<std::unique_ptr<ShardPlan>> MakeUrelShardPlan(Urel& parent,
-                                                     const ShardRequest& req);
-
 }  // namespace maywsd::core::engine
 
 #endif  // MAYWSD_CORE_ENGINE_UREL_BACKEND_H_

@@ -66,23 +66,23 @@ struct ShardRequest {
 
 /// A backend's partitioning of one relation into independent slices.
 ///
-/// Lifecycle, driven by EvaluateParallel (engine/parallel.h):
+/// Lifecycle, driven by EvaluateParallel and ApplyUpdatesSharded
+/// (engine/parallel.h):
 ///   1. BuildShard(i) — called concurrently from worker threads; must only
 ///      READ the parent representation. Returns a self-contained backend
 ///      whose `relation` holds slice i and whose aux relations are full
 ///      certain copies. The slice world-sets are mutually independent and
 ///      their union is the marginal world-set of the parent relation.
-///   2. Absorb(i, ...) — called on the coordinating thread, in shard-index
-///      order (this is what makes the merged result deterministic
-///      regardless of completion order), only after every BuildShard
-///      returned. Workers may still be EXECUTING on later shards while
-///      shard i is absorbed — the streaming merge overlaps merging with
-///      the slowest shards — so Absorb must touch only the parent and the
-///      finished shard i, never another shard's state. Merges shard i's
-///      relation `src` into the parent's `dst`, creating `dst` on the
-///      first call.
-///   3. Finish() — once, after all absorbs (the uniform backend re-exports
-///      its store here). Default no-op.
+///   2. Absorb(shard, ...) — called on the coordinating thread, in
+///      shard-index order (this is what makes the merged result
+///      deterministic regardless of completion order), only after every
+///      BuildShard returned. Workers may still be EXECUTING on later
+///      shards while a shard is absorbed — the streaming merge overlaps
+///      merging with the slowest shards — so Absorb must touch only the
+///      parent and the finished shard, never another shard's state.
+///      Merges the shard's relation `src` into the parent's `dst`,
+///      creating `dst` on the first call; the last absorb leaves the
+///      parent complete.
 ///
 /// Sharded evaluation preserves the result relation's world-set exactly;
 /// cross-relation correlation between the result and its input relations
@@ -97,12 +97,9 @@ class ShardPlan {
   /// Builds the self-contained world set of shard `i`. Thread-safe.
   virtual Result<std::unique_ptr<WorldSetOps>> BuildShard(size_t i) const = 0;
 
-  /// Merges shard `i`'s relation `src` into the parent's `dst`.
-  virtual Status Absorb(size_t i, WorldSetOps& shard, const std::string& src,
+  /// Merges `shard`'s relation `src` into the parent's `dst`.
+  virtual Status Absorb(WorldSetOps& shard, const std::string& src,
                         const std::string& dst) = 0;
-
-  /// Publishes the merged result into the parent representation.
-  virtual Status Finish() { return Status::Ok(); }
 };
 
 /// Shared guard for AddCertainRelation implementations: a fully certain
@@ -281,8 +278,8 @@ class WorldSetOps {
   // independent, so a backend whose state partitions into tuple ranges
   // that share no components can evaluate a plan slice-by-slice in
   // parallel. Every operator kind runs inside a slice; the driver decides
-  // which relation to partition (engine/parallel.h), the backend whether
-  // and how it can.
+  // which relation to partition and whether a query fan-out can pay
+  // (engine/parallel.h), the backend whether and how it can slice.
 
   /// True iff `name` is identical in every world. Shard auxiliaries must
   /// be certain so replicating them per shard cannot lose correlations.

@@ -127,20 +127,7 @@ Result<bool> WsdtBackend::RelationCertain(const std::string& name) const {
 
 Result<std::unique_ptr<ShardPlan>> WsdtBackend::PlanShards(
     const ShardRequest& req) {
-  // Cost gate (the urel rule, ported): a single-leaf QUERY plan is a
-  // unary select/project/rename chain — one pass over the template.
-  // Building a shard slice copies every template row of the partitioned
-  // relation, which costs about as much as the pass it would parallelize,
-  // so the fan-out taxes cheap queries 3-6x at census densities; decline
-  // and evaluate sequentially. Plans with a second (certain) leaf do
-  // superlinear per-row work that amortizes the slice, and update
-  // fan-outs rewrite the slice in place — both keep the fan-out. (The
-  // uniform backend calls MakeWsdtShardPlan directly and keeps single-leaf
-  // fan-outs: slicing amortizes its import/export round trips.)
-  if (req.aux_relations.empty() && !req.for_update) {
-    return std::unique_ptr<ShardPlan>();
-  }
-  return MakeWsdtShardPlan(*wsdt_, wsdt_, req);
+  return MakeWsdtShardPlan(*wsdt_, req);
 }
 
 }  // namespace maywsd::core::engine

@@ -8,10 +8,12 @@
 // certain auxiliary) and the fallback path (unions, repeated scans,
 // uncertain right sides of a difference).
 //
-// Also here: a deterministic known-shardable case per backend (so the
-// fan-out path itself cannot silently stop being exercised), a
-// ThreadPool unit test, and a many-sessions concurrency smoke that the
-// TSan CI job leans on.
+// Also here: a deterministic known-shardable case per partitioning
+// backend (wsd, wsdt, urel — so the fan-out path itself cannot silently
+// stop being exercised), the engine's single-leaf cost rule on all four
+// backends, the uniform store's sequential path for a join against a
+// certain leaf (it does not partition), a ThreadPool unit test, and a
+// many-sessions concurrency smoke that the TSan CI job leans on.
 
 #include <gtest/gtest.h>
 
@@ -191,89 +193,91 @@ Wsdt KnownShardableWsdt() {
   return wsdt;
 }
 
-TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
-  // The U-relations and WSDT backends decline single-leaf plans (building
-  // a shard slice costs about as much as the one pass a unary chain
-  // performs), so their known-shardable cases carry a certain join leaf —
-  // kWsd runs on the WSDT backend and takes the same plan. A product with
-  // a certain relation shards too, on kWsd as on every backend.
-  Plan linear = Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(0)),
-                             Plan::Scan("R"));
-  Plan join = Plan::Join(Predicate::CmpAttr("A", CmpOp::kEq, "C"),
-                         Plan::Scan("R"), Plan::Scan("S"));
-  Plan product = Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
+/// Runs `plan` into OUT over KnownShardableWsdt plus a certain S(C) on
+/// `kind`, once sequentially and once at threads=4, expects equal world
+/// sets, and returns the threaded session's stats.
+api::SessionStats RunSequentialAndThreaded(api::BackendKind kind,
+                                           const Plan& plan) {
+  SCOPED_TRACE(plan.ToString() + " on " +
+               std::string(api::BackendKindName(kind)));
   rel::Relation s(rel::Schema::FromNames({"C"}), "S");
   s.AppendRow({I(1)});
   s.AppendRow({I(2)});
   s.AppendRow({I(3)});
   Wsdt wsdt = KnownShardableWsdt();
+  auto seq_or = api::Session::Open(kind, wsdt);
+  auto par_or = api::Session::Open(kind, wsdt);
+  EXPECT_TRUE(seq_or.ok() && par_or.ok());
+  if (!seq_or.ok() || !par_or.ok()) return {};
+  api::Session seq = std::move(seq_or).value();
+  api::Session par = std::move(par_or).value();
+  EXPECT_TRUE(seq.Register(s).ok());
+  EXPECT_TRUE(par.Register(s).ok());
+  par.set_options({.threads = 4, .cache = true});
 
-  std::vector<std::pair<api::BackendKind, const Plan*>> cases;
-  for (api::BackendKind kind : testutil::AllBackendKinds()) {
-    bool uniform = kind == api::BackendKind::kUniform;
-    cases.emplace_back(kind, uniform ? &linear : &join);
+  EXPECT_TRUE(seq.Run(plan, "OUT").ok());
+  EXPECT_TRUE(par.Run(plan, "OUT").ok());
+  EXPECT_EQ(seq.Stats().sharded_runs, 0u);
+  auto seq_worlds = OutWorlds(seq);
+  auto par_worlds = OutWorlds(par);
+  EXPECT_TRUE(seq_worlds.ok() && par_worlds.ok());
+  if (seq_worlds.ok() && par_worlds.ok()) {
+    EXPECT_TRUE(WorldSetsEquivalent(*seq_worlds, *par_worlds));
   }
-  cases.emplace_back(api::BackendKind::kWsd, &product);
+  return par.Stats();
+}
 
-  for (const auto& [kind, plan_ptr] : cases) {
-    const Plan& plan = *plan_ptr;
-    SCOPED_TRACE(plan.ToString());
-    auto seq_or = api::Session::Open(kind, wsdt);
-    auto par_or = api::Session::Open(kind, wsdt);
-    ASSERT_TRUE(seq_or.ok() && par_or.ok());
-    api::Session seq = std::move(seq_or).value();
-    api::Session par = std::move(par_or).value();
-    ASSERT_TRUE(seq.Register(s).ok());
-    ASSERT_TRUE(par.Register(s).ok());
-    par.set_options({.threads = 4, .cache = true});
+/// R ⋈_{A=C} S: the partitioned R against the certain leaf S.
+Plan JoinRS() {
+  return Plan::Join(Predicate::CmpAttr("A", CmpOp::kEq, "C"), Plan::Scan("R"),
+                    Plan::Scan("S"));
+}
 
-    ASSERT_TRUE(seq.Run(plan, "OUT").ok());
-    ASSERT_TRUE(par.Run(plan, "OUT").ok());
+TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
+  // Every backend that partitions (wsd and wsdt share the WSDT backend;
+  // urel) fans out a join against a certain leaf; a product with a
+  // certain relation shards too. Single-leaf plans never fan out (the
+  // engine's cost rule, below), and the uniform store does not partition
+  // (UniformBackendRunsJoinSequentially).
+  Plan join = JoinRS();
+  Plan product = Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
+  std::vector<std::pair<api::BackendKind, const Plan*>> cases = {
+      {api::BackendKind::kWsd, &join},
+      {api::BackendKind::kWsdt, &join},
+      {api::BackendKind::kUrel, &join},
+      {api::BackendKind::kWsd, &product}};
+  for (const auto& [kind, plan] : cases) {
+    api::SessionStats stats = RunSequentialAndThreaded(kind, *plan);
     // The fan-out must actually have happened — this is the guard that
     // keeps the determinism property non-vacuous.
-    EXPECT_EQ(par.Stats().sharded_runs, 1u) << api::BackendKindName(kind);
-    EXPECT_EQ(par.Stats().fallback_runs, 0u) << api::BackendKindName(kind);
-    EXPECT_GE(par.Stats().shards_executed, 2u) << api::BackendKindName(kind);
-    EXPECT_EQ(seq.Stats().sharded_runs, 0u);
-
-    auto seq_worlds = OutWorlds(seq);
-    auto par_worlds = OutWorlds(par);
-    ASSERT_TRUE(seq_worlds.ok() && par_worlds.ok());
-    EXPECT_TRUE(WorldSetsEquivalent(*seq_worlds, *par_worlds))
-        << api::BackendKindName(kind);
+    EXPECT_EQ(stats.sharded_runs, 1u) << api::BackendKindName(kind);
+    EXPECT_EQ(stats.fallback_runs, 0u) << api::BackendKindName(kind);
+    EXPECT_GE(stats.shards_executed, 2u) << api::BackendKindName(kind);
   }
 }
 
 TEST(ParallelSessionTest, CostGateDeclinesFanOutForSingleLeafPlans) {
-  // Cost gate (urel and the WSDT backend behind wsd and wsdt): a unary
-  // select/project chain over one leaf is a single bandwidth-bound pass;
-  // building shard slices would copy the partitioned relation first, so
-  // the threaded run must take the sequential path — and still produce
-  // the same world set.
+  // The engine's cost rule, on every backend: a unary select/project
+  // chain over one leaf is a single bandwidth-bound pass; building shard
+  // slices would copy the partitioned relation first, so the threaded run
+  // must take the sequential path — and still produce the same world set.
   Plan plan = Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(0)),
                            Plan::Scan("R"));
-  Wsdt wsdt = KnownShardableWsdt();
-
   for (api::BackendKind kind : testutil::AllBackendKinds()) {
-    if (kind == api::BackendKind::kUniform) continue;  // no cost gate
-    auto seq_or = api::Session::Open(kind, wsdt);
-    auto par_or = api::Session::Open(kind, wsdt);
-    ASSERT_TRUE(seq_or.ok() && par_or.ok());
-    api::Session seq = std::move(seq_or).value();
-    api::Session par = std::move(par_or).value();
-    par.set_options({.threads = 4, .cache = true});
-
-    ASSERT_TRUE(seq.Run(plan, "OUT").ok());
-    ASSERT_TRUE(par.Run(plan, "OUT").ok());
-    EXPECT_EQ(par.Stats().sharded_runs, 0u) << api::BackendKindName(kind);
-    EXPECT_EQ(par.Stats().shards_executed, 0u) << api::BackendKindName(kind);
-
-    auto seq_worlds = OutWorlds(seq);
-    auto par_worlds = OutWorlds(par);
-    ASSERT_TRUE(seq_worlds.ok() && par_worlds.ok());
-    EXPECT_TRUE(WorldSetsEquivalent(*seq_worlds, *par_worlds))
-        << api::BackendKindName(kind);
+    api::SessionStats stats = RunSequentialAndThreaded(kind, plan);
+    EXPECT_EQ(stats.sharded_runs, 0u) << api::BackendKindName(kind);
+    EXPECT_EQ(stats.shards_executed, 0u) << api::BackendKindName(kind);
   }
+}
+
+TEST(ParallelSessionTest, UniformBackendRunsJoinSequentially) {
+  // The uniform C/F/W store does not partition: even a join against a
+  // certain leaf — a plan the other backends fan out — runs on the
+  // sequential path at threads=4, with the threads=1 world set.
+  api::SessionStats stats =
+      RunSequentialAndThreaded(api::BackendKind::kUniform, JoinRS());
+  EXPECT_EQ(stats.sharded_runs, 0u);
+  EXPECT_EQ(stats.fallback_runs, 1u);
 }
 
 TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
@@ -281,8 +285,8 @@ TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
   // uses (slice once per run, mutate each slice, stream them back). The
   // world set after a threaded ApplyAll must equal the sequential one on
   // every backend; wsd and wsdt (both on the WSDT backend) must actually
-  // take the sharded path, while uniform and urel (native one-pass updates
-  // beat the slice round trip) decline it.
+  // take the sharded path, while uniform (its store does not partition)
+  // and urel (its native one-pass update beats the slice copy) do not.
   std::vector<rel::UpdateOp> updates;
   updates.push_back(rel::UpdateOp::ModifyWhere(
       "R", Predicate::Cmp("A", CmpOp::kEq, I(1)), {{"A", I(9)}}));
