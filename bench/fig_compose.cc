@@ -12,6 +12,11 @@
 //   - difference-chain: P −= S_i over uncertain attributes. Each step
 //     records compose nodes and forces only the worlds the ⊥-rewrite
 //     touches; reported so the growth curve is visible in CI artifacts.
+//   - difference-isolation: L − S on one-tuple, two-world relations next
+//     to N unrelated 256-way factors. The difference runs on the
+//     templates and components of L and S only, so its store cost must
+//     not depend on N — the harness EXITS NON-ZERO if forced evaluations,
+//     compose nodes or live cells differ across N, or peak cells grow.
 //   - guarded-batch: Session::ApplyAll of N updates sharing one
 //     structurally equal world condition — asserts the batch materializes
 //     the guard once and serves the other N−1 from the cache, and compares
@@ -28,6 +33,7 @@
 #include "api/session.h"
 #include "bench/bench_util.h"
 #include "core/wsd.h"
+#include "core/wsdt.h"
 #include "rel/update.h"
 
 namespace {
@@ -81,26 +87,53 @@ void WriteJson(const char* path, const std::vector<Sample>& samples) {
   std::fclose(f);
 }
 
-/// An uncertain single-tuple relation R<i> with attributes A<i>, B<i>,
-/// each an independent `worlds`-way component. Components above the
-/// store's eager-materialization threshold (64 cells) stay lazy handles;
+/// One attribute of a factor: a `worlds`-way uniform component.
+core::Component FactorColumn(const std::string& name, const std::string& attr,
+                             size_t worlds) {
+  core::Component c({core::FieldKey(name, 0, attr)});
+  for (size_t w = 0; w < worlds; ++w) {
+    c.AddWorld({rel::Value::Int(static_cast<int64_t>(w))},
+               1.0 / static_cast<double>(worlds));
+  }
+  return c;
+}
+
+/// An uncertain single-tuple relation `name`(a, b), each attribute an
+/// independent `worlds`-way component. Components above the store's
+/// eager-materialization threshold (64 cells) stay lazy handles;
 /// two-world components are deliberately eager, so the chains pick their
 /// factor size to measure the regime they care about.
-Status AddFactor(core::Wsd& wsd, size_t i, size_t worlds) {
-  std::string name = "R" + std::to_string(i);
-  std::string a = "A" + std::to_string(i);
-  std::string b = "B" + std::to_string(i);
+Status AddFactor(core::Wsd& wsd, const std::string& name,
+                 const std::string& a, const std::string& b, size_t worlds) {
   MAYWSD_RETURN_IF_ERROR(
       wsd.AddRelation(name, rel::Schema::FromNames({a, b}), 1));
   for (const std::string& attr : {a, b}) {
-    core::Component c({core::FieldKey(name, 0, attr)});
-    for (size_t w = 0; w < worlds; ++w) {
-      c.AddWorld({rel::Value::Int(static_cast<int64_t>(w))},
-                 1.0 / static_cast<double>(worlds));
-    }
-    MAYWSD_RETURN_IF_ERROR(wsd.AddComponent(std::move(c)));
+    MAYWSD_RETURN_IF_ERROR(wsd.AddComponent(FactorColumn(name, attr, worlds)));
   }
   return Status::Ok();
+}
+
+/// The same factor built directly as a WSDT template row of two '?'
+/// cells. Building it grows the store's live cells with no transient
+/// copy, so the process-wide peak counter ends at the live count — unlike
+/// adopting a Wsd, whose conversion briefly holds both copies.
+Status AddFactor(core::Wsdt& wsdt, const std::string& name,
+                 const std::string& a, const std::string& b, size_t worlds) {
+  rel::Relation tmpl(rel::Schema::FromNames({a, b}), name);
+  tmpl.AppendRow({rel::Value::Question(), rel::Value::Question()});
+  MAYWSD_RETURN_IF_ERROR(wsdt.AddTemplateRelation(std::move(tmpl)));
+  for (const std::string& attr : {a, b}) {
+    MAYWSD_RETURN_IF_ERROR(
+        wsdt.AddComponent(FactorColumn(name, attr, worlds)));
+  }
+  return Status::Ok();
+}
+
+/// Factor i: relation R<i> with attributes A<i>, B<i>.
+template <typename Store>
+Status AddFactor(Store& store, size_t i, size_t worlds) {
+  std::string n = std::to_string(i);
+  return AddFactor(store, "R" + n, "A" + n, "B" + n, worlds);
 }
 
 struct Delta {
@@ -131,7 +164,7 @@ int main(int argc, char** argv) {
 
   std::vector<Sample> samples;
   auto report = [&](Sample s) {
-    std::printf("%-16s %6zu %10.6f %10llu %10llu %10lld %10llu\n",
+    std::printf("%-20s %6zu %10.6f %10llu %10llu %10lld %10llu\n",
                 s.workload.c_str(), s.steps, s.seconds,
                 static_cast<unsigned long long>(s.compose_nodes),
                 static_cast<unsigned long long>(s.forced_evals),
@@ -139,8 +172,70 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.peak_cells));
     samples.push_back(std::move(s));
   };
-  std::printf("%-16s %6s %10s %10s %10s %10s %10s\n", "workload", "steps",
+  std::printf("%-20s %6s %10s %10s %10s %10s %10s\n", "workload", "steps",
               "seconds", "compose", "forced", "cells", "peak");
+
+  // -- Difference isolation: cost independent of unrelated components. ----
+  //
+  // L and S are one-tuple relations over two-world attributes; N unrelated
+  // 256-way factors sit beside them. The difference composes L's and S's
+  // components only, so every store delta must be the same for every N.
+  // It runs first, before the chains raise the process-wide peak counter.
+  const size_t kChainWorlds = 256;
+  std::vector<Sample> isolation;
+  for (size_t n : {0, 64, 512, 4096}) {
+    core::Wsdt wsdt;
+    if (!AddFactor(wsdt, "L", "A", "B", 2).ok()) return 1;
+    if (!AddFactor(wsdt, "S", "A", "B", 2).ok()) return 1;
+    for (size_t i = 0; i < n; ++i) {
+      if (!AddFactor(wsdt, i, kChainWorlds).ok()) return 1;
+    }
+    api::Session session = api::Session::Open(std::move(wsdt));
+    Sample s;
+    s.workload = "difference-isolation";
+    s.steps = n;  // unrelated factors beside L and S
+    Delta d;
+    d.Start(session);
+    // The peak counter never falls: its delta measures this difference
+    // only while it starts at the live count, which holds because each N
+    // builds more cells than any earlier step held.
+    if (d.before.store_peak_cells != d.before.store_live_cells) {
+      std::fprintf(stderr, "FAIL: peak cells above live cells before the "
+                           "isolated difference; its peak delta is inexact\n");
+      return 1;
+    }
+    Timer t;
+    if (!session.Run(Plan::Difference(Plan::Scan("L"), Plan::Scan("S")), "Q")
+             .ok()) {
+      std::fprintf(stderr, "difference isolation n=%zu failed\n", n);
+      return 1;
+    }
+    s.seconds = t.Seconds();
+    d.Finish(session, s);
+    isolation.push_back(s);
+    report(std::move(s));
+  }
+  for (const Sample& s : isolation) {
+    const Sample& base = isolation.front();
+    if (s.forced_evals != base.forced_evals ||
+        s.compose_nodes != base.compose_nodes || s.cells != base.cells ||
+        s.peak_cells > base.peak_cells) {
+      std::fprintf(stderr,
+                   "FAIL: difference next to %zu unrelated factors cost "
+                   "forced=%llu compose=%llu cells=%lld peak=%llu, alone "
+                   "forced=%llu compose=%llu cells=%lld peak=%llu; the "
+                   "difference reaches past its operands\n",
+                   s.steps, static_cast<unsigned long long>(s.forced_evals),
+                   static_cast<unsigned long long>(s.compose_nodes),
+                   static_cast<long long>(s.cells),
+                   static_cast<unsigned long long>(s.peak_cells),
+                   static_cast<unsigned long long>(base.forced_evals),
+                   static_cast<unsigned long long>(base.compose_nodes),
+                   static_cast<long long>(base.cells),
+                   static_cast<unsigned long long>(base.peak_cells));
+      return 1;
+    }
+  }
 
   // -- Product chain: representation cost must be O(1) per step. -----------
   //
@@ -152,7 +247,6 @@ int main(int argc, char** argv) {
   // the factor's own payload — flat in k. An eager store copies every
   // factor's payload once per downstream product instead, so its per-step
   // cell cost grows linearly with chain length and this gate trips.
-  const size_t kChainWorlds = 256;
   std::vector<uint64_t> forced_per_chain;
   std::vector<int64_t> cells_per_step;
   for (size_t k : {4, 8, 16}) {
@@ -303,7 +397,7 @@ int main(int argc, char** argv) {
     if (!run(true, batch)) return 1;
     bool shared = batch.guard_materializations == 1 &&
                   batch.guard_shares == kOps - 1;
-    std::printf("%-16s guard: %llu materialized, %llu shared\n",
+    std::printf("%-20s guard: %llu materialized, %llu shared\n",
                 batch.workload.c_str(),
                 static_cast<unsigned long long>(batch.guard_materializations),
                 static_cast<unsigned long long>(batch.guard_shares));

@@ -147,13 +147,6 @@ class Component {
     return store::ColumnConstant(node_.get(), col);
   }
 
-  /// The value a constant column holds in every local world, or null when
-  /// the column is not constant (or the component is empty). Never forces;
-  /// the pointer is valid until this component is mutated or destroyed.
-  const rel::Value* ColumnConstantValue(size_t col) const {
-    return store::ColumnConstantValue(node_.get(), col);
-  }
-
   /// Renames the field of a column (δ on WSDs renames component attributes).
   void RenameField(size_t col, const FieldKey& new_field);
 

@@ -178,33 +178,6 @@ Status Wsd::DropField(const FieldKey& field) {
   return Status::Ok();
 }
 
-Status Wsd::CopyFieldInto(const FieldKey& src, const FieldKey& dst) {
-  auto it = pool().field_index.find(src);
-  if (it == pool().field_index.end()) {
-    return Status::NotFound("source field " + src.ToString());
-  }
-  if (pool().field_index.count(dst)) {
-    return Status::AlreadyExists("destination field " + dst.ToString());
-  }
-  // Destination must be a declared, in-range field.
-  auto rel_it = relation_by_name_.find(std::string(SymbolName(dst.rel)));
-  if (rel_it == relation_by_name_.end()) {
-    return Status::NotFound("destination relation of " + dst.ToString());
-  }
-  const WsdRelation& rel = relations_[rel_it->second];
-  if (dst.tuple < 0 || dst.tuple >= rel.max_tuples ||
-      !rel.schema.IndexOf(dst.attr)) {
-    return Status::InvalidArgument("destination field out of range: " +
-                                   dst.ToString());
-  }
-  FieldLoc loc = it->second;
-  Component& comp = pool().components[loc.comp];
-  comp.ExtDuplicateColumn(static_cast<size_t>(loc.col), dst);
-  pool().field_index[dst] =
-      FieldLoc{loc.comp, static_cast<int32_t>(comp.NumFields() - 1)};
-  return Status::Ok();
-}
-
 Status Wsd::AddCertainField(const FieldKey& dst, const rel::Value& value) {
   // Interned: every certain field of the same value shares one payload node.
   return AddComponent(Component::Certain(dst, value));

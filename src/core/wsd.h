@@ -20,9 +20,10 @@
 // shares every unmutated payload.
 //
 // Queries do not run on a Wsd: a kWsd api::Session adopts it as a Wsdt
-// (Wsdt::FromWsd) at the edge. The Wsd remains the Section 4 data type and
-// the oracle — chase, or-sets, normalization, world enumeration and
-// confidence all work on it.
+// (Wsdt::FromWsd) at the edge, and no operator converts back — difference
+// included. The Wsd remains the Section 4 data type and the oracle —
+// chase, or-sets, normalization, world enumeration and confidence all work
+// on it.
 
 #ifndef MAYWSD_CORE_WSD_H_
 #define MAYWSD_CORE_WSD_H_
@@ -102,11 +103,6 @@ class Wsd {
   /// Removes one column; a component left with zero columns is dropped
   /// (exact marginalization: its probabilities summed to 1).
   Status DropField(const FieldKey& field);
-
-  /// The paper's ext primitive with index maintenance: appends to the
-  /// component of `src` a duplicate column registered as field `dst`.
-  /// `dst`'s relation must be declared and `dst` not yet covered.
-  Status CopyFieldInto(const FieldKey& src, const FieldKey& dst);
 
   /// Registers `dst` as a new single-field component holding `value` with
   /// probability 1 (used when materializing certain fields).

@@ -8,8 +8,6 @@
 
 #include "core/engine/plan_driver.h"
 #include "core/engine/wsdt_backend.h"
-#include "core/wsd.h"
-#include "core/wsd_algebra.h"
 
 namespace maywsd::core {
 
@@ -665,14 +663,206 @@ Status WsdtRename(Wsdt& wsdt, const std::string& src, const std::string& out,
 
 Status WsdtDifference(Wsdt& wsdt, const std::string& left,
                       const std::string& right, const std::string& out) {
-  // Difference is "by far the least efficient operation" (Section 4) and is
-  // never evaluated at scale in the paper; we reuse the faithful WSD
-  // algorithm through a conversion round-trip.
-  MAYWSD_ASSIGN_OR_RETURN(Wsd wsd, wsdt.ToWsd());
-  MAYWSD_RETURN_IF_ERROR(WsdDifference(wsd, left, right, out));
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt next, Wsdt::FromWsd(wsd));
-  wsdt = std::move(next);
-  return Status::Ok();
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* l_ptr, wsdt.Template(left));
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* r_ptr, wsdt.Template(right));
+  if (l_ptr->schema() != r_ptr->schema()) {
+    return Status::InvalidArgument("difference of incompatible schemas: " +
+                                   l_ptr->schema().ToString() + " vs " +
+                                   r_ptr->schema().ToString());
+  }
+  if (wsdt.HasRelation(out)) {
+    return Status::AlreadyExists("relation " + out);
+  }
+  const rel::Relation& l_tmpl = *l_ptr;
+  const rel::Relation& r_tmpl = *r_ptr;
+  const size_t k = l_tmpl.arity();
+  Symbol l_sym = InternString(left);
+  Symbol r_sym = InternString(right);
+  Symbol out_sym = InternString(out);
+
+  // Possible values of each '?' cell of a row (empty for certain cells).
+  using CellValues = std::vector<std::unordered_set<rel::Value>>;
+  auto row_values = [&](const rel::Relation& tmpl, Symbol sym, size_t r) {
+    CellValues values(k);
+    for (size_t a = 0; a < k; ++a) {
+      if (!tmpl.row(r)[a].is_question()) continue;
+      std::vector<rel::Value> v = PossibleColumnValues(
+          wsdt, FieldKey(sym, static_cast<TupleId>(r),
+                         tmpl.schema().attr(a).name));
+      values[a].insert(v.begin(), v.end());
+    }
+    return values;
+  };
+  // Could the two rows be equal in some world? Certain cells must agree, a
+  // certain cell facing a '?' must be among its values, and two '?' cells
+  // must share a value.
+  auto may_equal = [&](rel::TupleRef lrow, const CellValues& lvals,
+                       rel::TupleRef rrow, const CellValues& rvals) {
+    for (size_t a = 0; a < k; ++a) {
+      bool lq = lrow[a].is_question();
+      bool rq = rrow[a].is_question();
+      if (!lq && !rq) {
+        if (!(lrow[a] == rrow[a])) return false;
+      } else if (lq != rq) {
+        if (!(lq ? lvals[a] : rvals[a]).count(lq ? rrow[a] : lrow[a])) {
+          return false;
+        }
+      } else if (std::none_of(lvals[a].begin(), lvals[a].end(),
+                              [&](const rel::Value& v) {
+                                return rvals[a].count(v) > 0;
+                              })) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Component column of each '?' cell of a row (-1 for certain cells).
+  auto row_cols = [&](const rel::Relation& tmpl, Symbol sym,
+                      size_t r) -> Result<std::vector<int32_t>> {
+    std::vector<int32_t> cols(k, -1);
+    for (size_t a = 0; a < k; ++a) {
+      if (!tmpl.row(r)[a].is_question()) continue;
+      MAYWSD_ASSIGN_OR_RETURN(
+          FieldLoc loc, wsdt.Locate(FieldKey(sym, static_cast<TupleId>(r),
+                                             tmpl.schema().attr(a).name)));
+      cols[a] = loc.col;
+    }
+    return cols;
+  };
+
+  // Fully certain right rows by value; the others with their values.
+  std::unordered_set<std::string> r_certain;
+  std::vector<size_t> r_uncertain;
+  std::vector<CellValues> r_values(r_tmpl.NumRows());
+  for (size_t j = 0; j < r_tmpl.NumRows(); ++j) {
+    if (RowFullyCertain(r_tmpl.row(j))) {
+      r_certain.insert(CertainRowKey(r_tmpl.row(j)));
+    } else {
+      r_uncertain.push_back(j);
+      r_values[j] = row_values(r_tmpl, r_sym, j);
+    }
+  }
+  std::vector<size_t> r_all(r_tmpl.NumRows());
+  for (size_t j = 0; j < r_all.size(); ++j) r_all[j] = j;
+
+  rel::Relation out_tmpl(l_tmpl.schema(), out);
+  for (size_t i = 0; i < l_tmpl.NumRows(); ++i) {
+    rel::TupleRef lrow = l_tmpl.row(i);
+    const bool l_certain = RowFullyCertain(lrow);
+    // Equal to a fully certain right row: absent in every world.
+    if (l_certain && r_certain.count(CertainRowKey(lrow))) continue;
+    CellValues l_values;
+    if (!l_certain) l_values = row_values(l_tmpl, l_sym, i);
+    std::vector<size_t> candidates;
+    for (size_t j : l_certain ? r_uncertain : r_all) {
+      if (may_equal(lrow, l_values, r_tmpl.row(j), r_values[j])) {
+        candidates.push_back(j);
+      }
+    }
+    // No right row can equal it: copied as is.
+    if (candidates.empty()) {
+      MAYWSD_RETURN_IF_ERROR(
+          CopyRowInto(wsdt, l_tmpl, l_sym, i, &out_tmpl, out_sym).status());
+      continue;
+    }
+
+    // Compose the row's components with its candidates' into one.
+    std::set<int32_t> comps;
+    auto add_comps = [&](const rel::Relation& tmpl, Symbol sym,
+                         size_t r) -> Status {
+      for (size_t a = 0; a < k; ++a) {
+        if (!tmpl.row(r)[a].is_question()) continue;
+        MAYWSD_ASSIGN_OR_RETURN(
+            FieldLoc loc, wsdt.Locate(FieldKey(sym, static_cast<TupleId>(r),
+                                               tmpl.schema().attr(a).name)));
+        comps.insert(loc.comp);
+      }
+      return Status::Ok();
+    };
+    MAYWSD_RETURN_IF_ERROR(add_comps(l_tmpl, l_sym, i));
+    for (size_t j : candidates) {
+      MAYWSD_RETURN_IF_ERROR(add_comps(r_tmpl, r_sym, j));
+    }
+    auto it = comps.begin();
+    size_t target = static_cast<size_t>(*it);
+    for (++it; it != comps.end(); ++it) {
+      MAYWSD_RETURN_IF_ERROR(
+          wsdt.ComposeInPlace(target, static_cast<size_t>(*it)));
+    }
+
+    // The local worlds where the row is present and a present candidate
+    // equals it.
+    const Component& comp = wsdt.component(target);
+    auto value_at = [&](rel::TupleRef row, const std::vector<int32_t>& cols,
+                        size_t w, size_t a) -> const rel::Value& {
+      return cols[a] < 0 ? row[a]
+                         : comp.at(w, static_cast<size_t>(cols[a]));
+    };
+    auto present_at = [&](rel::TupleRef row, const std::vector<int32_t>& cols,
+                          size_t w) {
+      for (size_t a = 0; a < k; ++a) {
+        if (value_at(row, cols, w, a).is_bottom()) return false;
+      }
+      return true;
+    };
+    MAYWSD_ASSIGN_OR_RETURN(std::vector<int32_t> l_cols,
+                            row_cols(l_tmpl, l_sym, i));
+    std::vector<std::vector<int32_t>> r_cols;
+    for (size_t j : candidates) {
+      MAYWSD_ASSIGN_OR_RETURN(r_cols.emplace_back(),
+                              row_cols(r_tmpl, r_sym, j));
+    }
+    std::vector<bool> drop(comp.NumWorlds(), false);
+    bool any_kept = false;
+    bool any_dropped = false;
+    for (size_t w = 0; w < comp.NumWorlds(); ++w) {
+      if (!present_at(lrow, l_cols, w)) continue;
+      for (size_t c = 0; c < candidates.size(); ++c) {
+        rel::TupleRef rrow = r_tmpl.row(candidates[c]);
+        if (!present_at(rrow, r_cols[c], w)) continue;
+        bool equal = true;
+        for (size_t a = 0; a < k && equal; ++a) {
+          equal = value_at(lrow, l_cols, w, a) ==
+                  value_at(rrow, r_cols[c], w, a);
+        }
+        if (equal) {
+          drop[w] = true;
+          break;
+        }
+      }
+      any_dropped = any_dropped || drop[w];
+      any_kept = any_kept || !drop[w];
+    }
+    if (!any_kept) continue;  // present in no local world
+    if (!any_dropped) {
+      MAYWSD_RETURN_IF_ERROR(
+          CopyRowInto(wsdt, l_tmpl, l_sym, i, &out_tmpl, out_sym).status());
+      continue;
+    }
+    // The output row's '?' cells become fresh columns of `target` that are
+    // ⊥ where the row was dropped; a certain row's first cell becomes one.
+    // Built before the first write, which replaces `comp`'s payload.
+    std::vector<rel::Value> buf = lrow.ToRow();
+    if (l_certain) buf[0] = rel::Value::Question();
+    std::vector<std::pair<size_t, std::vector<rel::Value>>> columns;
+    for (size_t a = 0; a < k; ++a) {
+      if (!buf[a].is_question()) continue;
+      std::vector<rel::Value>& column =
+          columns.emplace_back(a, std::vector<rel::Value>(drop.size())).second;
+      for (size_t w = 0; w < drop.size(); ++w) {
+        column[w] = drop[w] ? rel::Value::Bottom()
+                            : value_at(lrow, l_cols, w, a);
+      }
+    }
+    TupleId n = static_cast<TupleId>(out_tmpl.NumRows());
+    out_tmpl.AppendRow(buf);
+    for (const auto& [a, column] : columns) {
+      MAYWSD_RETURN_IF_ERROR(wsdt.AddColumnToComponent(
+          target, FieldKey(out_sym, n, l_tmpl.schema().attr(a).name),
+          column));
+    }
+  }
+  return wsdt.AddTemplateRelation(std::move(out_tmpl));
 }
 
 Status WsdtEvaluate(Wsdt& wsdt, const rel::Plan& plan, const std::string& out,

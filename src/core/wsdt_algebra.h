@@ -80,8 +80,13 @@ Status WsdtRename(Wsdt& wsdt, const std::string& src, const std::string& out,
                   const std::vector<std::pair<std::string, std::string>>&
                       renames);
 
-/// P := R − S. Certain-certain deletions drop template rows; uncertain
-/// matches are resolved through component composition.
+/// P := R − S on the templates and components. A left row equal to a
+/// fully certain right row is dropped; one no right row can equal (certain
+/// cells differ, or a certain cell faces a '?' that never takes its value)
+/// is copied as is. Any other row's components are composed with those of
+/// its candidate right rows, and the copy is ⊥ in the local worlds where a
+/// present candidate equals it — a certain row's first cell becomes the
+/// '?' that carries this. Relations outside R and S are not touched.
 Status WsdtDifference(Wsdt& wsdt, const std::string& left,
                       const std::string& right, const std::string& out);
 

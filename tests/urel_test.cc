@@ -395,11 +395,17 @@ TEST(UrelUpdateTest, CertainAndEmptyGuardsReduceToPlainUpdates) {
 }
 
 /// Adds two fresh variables whose joint assignments (1024 · 1025) just
-/// exceed the 2^20 assignment cap, and a guard relation `name` that is
-/// non-empty iff either takes value 0.
-void AddWideGuard(Urel& u, const std::string& name) {
+/// exceed the 2^20 assignment cap.
+std::pair<VarId, VarId> AddWideVariables(Urel& u) {
   VarId a = u.AddVariable(std::vector<double>(1024, 1.0 / 1024));
   VarId b = u.AddVariable(std::vector<double>(1025, 1.0 / 1025));
+  return {a, b};
+}
+
+/// Adds the two wide variables and a guard relation `name` that is
+/// non-empty iff either takes value 0.
+void AddWideGuard(Urel& u, const std::string& name) {
+  auto [a, b] = AddWideVariables(u);
   AddGuardRelation(u, name, {{{a, 0}}, {{b, 0}}});
 }
 
@@ -607,6 +613,43 @@ TEST(UrelBackendTest, GuardPastTheCapTakesExactlyOneRoundTrip) {
   conf = backend.TupleConfidence("G", g0);
   ASSERT_TRUE(conf.ok()) << conf.status();
   EXPECT_NEAR(*conf, 1.0 / na, 1e-9);
+}
+
+TEST(UrelBackendTest, DifferencePastTheCapTakesExactlyOneRoundTrip) {
+  // OUT = L − S with L = {(7)} certain and S = {(7) if a = 0, (7) if b = 0}:
+  // complementing S's descriptors expands past the cap, so the difference
+  // runs once in the template semantics.
+  Urel u;
+  auto [a, b] = AddWideVariables(u);
+  UrelRelation l;
+  l.name = "L";
+  l.schema = rel::Schema::FromNames({"A"});
+  l.columns.resize(1);
+  std::vector<UrelValueId> seven_id = {u.Intern(I(7))};
+  l.AppendTuple(seven_id, {});
+  ASSERT_TRUE(u.Add(std::move(l)).ok());
+  UrelRelation s;
+  s.name = "S";
+  s.schema = rel::Schema::FromNames({"A"});
+  s.columns.resize(1);
+  const std::vector<UrelDescEntry> if_a = {{a, 0}};
+  const std::vector<UrelDescEntry> if_b = {{b, 0}};
+  s.AppendTuple(seven_id, if_a);
+  s.AppendTuple(seven_id, if_b);
+  ASSERT_TRUE(u.Add(std::move(s)).ok());
+  engine::UrelBackend backend(u);
+
+  ASSERT_TRUE(engine::Evaluate(backend, Plan::Difference(Plan::Scan("L"),
+                                                         Plan::Scan("S")),
+                               "OUT")
+                  .ok());
+  EXPECT_EQ(backend.RoundTrips(), 1u);
+  ASSERT_TRUE(ValidateUrel(backend.urel()).ok());
+  // (7) survives where a ≠ 0 ∧ b ≠ 0: (1023/1024) · (1024/1025).
+  std::vector<rel::Value> seven = {I(7)};
+  auto conf = backend.TupleConfidence("OUT", seven);
+  ASSERT_TRUE(conf.ok()) << conf.status();
+  EXPECT_NEAR(*conf, 1023.0 / 1025.0, 1e-9);
 }
 
 TEST(UrelBackendTest, SessionSurfacesRoundTripCounter) {

@@ -1,7 +1,8 @@
 // The Figure 9 goldens (Figures 10–15) and per-operator oracles of the
 // Section 4 algebra. A kWsd api::Session adopts the decomposition at its
-// edge and runs every plan on the WSDT operators; each result is checked
-// against per-world evaluation (Theorem 1).
+// edge and runs every plan on the WSDT operators, difference included —
+// no Section 4 operator code remains; each result is checked against
+// per-world evaluation (Theorem 1).
 
 #include <gtest/gtest.h>
 

@@ -85,22 +85,6 @@ TEST(WsdTest, ComposeInPlacePreservesRep) {
   EXPECT_TRUE(WorldSetsEquivalent(before, after));
 }
 
-TEST(WsdTest, CopyFieldIntoTracksComponent) {
-  Wsd wsd = IntroWsd();
-  ASSERT_TRUE(
-      wsd.AddRelation("P", rel::Schema::FromNames({"S", "N", "M"}), 2).ok());
-  ASSERT_TRUE(
-      wsd.CopyFieldInto(FieldKey("R", 0, "S"), FieldKey("P", 0, "S")).ok());
-  FieldLoc src = wsd.Locate(FieldKey("R", 0, "S")).value();
-  FieldLoc dst = wsd.Locate(FieldKey("P", 0, "S")).value();
-  EXPECT_EQ(src.comp, dst.comp);
-  EXPECT_NE(src.col, dst.col);
-  // Copy onto an existing field fails.
-  EXPECT_EQ(wsd.CopyFieldInto(FieldKey("R", 0, "S"), FieldKey("P", 0, "S"))
-                .code(),
-            StatusCode::kAlreadyExists);
-}
-
 TEST(WsdTest, DropFieldRemovesEmptyComponent) {
   Wsd wsd = IntroWsd();
   size_t before = wsd.NumLiveComponents();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/component_store.h"
 #include "core/worldset.h"
 #include "tests/test_util.h"
 
@@ -11,7 +14,9 @@ namespace {
 using rel::CmpOp;
 using rel::Plan;
 using rel::Predicate;
+using testutil::Bot;
 using testutil::I;
+using testutil::Q;
 using testutil::RelSpec;
 
 /// Oracle check: WsdtEvaluate against per-world evaluation of the same
@@ -233,6 +238,133 @@ TEST(WsdtAlgebraTest, EvaluateDropsTemporaries) {
   auto names = wsdt.RelationNames();
   EXPECT_EQ(names.size(), 2u);  // R and OUT only
   EXPECT_TRUE(wsdt.HasRelation("OUT"));
+}
+
+/// Adds template relation `name` with the given rows.
+void AddTemplate(Wsdt& wsdt, const char* name,
+                 std::vector<std::string> attrs,
+                 std::vector<std::vector<rel::Value>> rows) {
+  rel::Relation tmpl(rel::Schema::FromNames(attrs), name);
+  for (const std::vector<rel::Value>& row : rows) tmpl.AppendRow(row);
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(tmpl)).ok());
+}
+
+/// Covers the '?' field (rel, tuple, attr) with a one-column component
+/// whose local worlds take `values` with equal probability.
+void AddColumn(Wsdt& wsdt, const char* rel, TupleId tuple, const char* attr,
+               std::vector<rel::Value> values) {
+  Component c({FieldKey(rel, tuple, attr)});
+  for (const rel::Value& v : values) {
+    c.AddWorld({v}, 1.0 / static_cast<double>(values.size()));
+  }
+  ASSERT_TRUE(wsdt.AddComponent(std::move(c)).ok());
+}
+
+/// Every template relation's rows, by name.
+std::map<std::string, std::vector<std::vector<rel::Value>>> TemplateRows(
+    const Wsdt& wsdt) {
+  std::map<std::string, std::vector<std::vector<rel::Value>>> out;
+  for (const std::string& name : wsdt.RelationNames()) {
+    const rel::Relation* tmpl = wsdt.Template(name).value();
+    for (size_t r = 0; r < tmpl->NumRows(); ++r) {
+      out[name].push_back(tmpl->row(r).ToRow());
+    }
+  }
+  return out;
+}
+
+TEST(WsdtAlgebraTest, DifferenceLeavesUnrelatedRelationsAlone) {
+  // U holds a '?' whose column is constant and a row that is ⊥ in every
+  // local world; neither is normalized away by a difference over L and S.
+  Wsdt wsdt;
+  AddTemplate(wsdt, "U", {"A"}, {{Q()}, {Q()}});
+  AddColumn(wsdt, "U", 0, "A", {I(5), I(5)});
+  AddColumn(wsdt, "U", 1, "A", {Bot(), Bot()});
+  AddTemplate(wsdt, "L", {"A"}, {{Q()}});
+  AddColumn(wsdt, "L", 0, "A", {I(1), I(2)});
+  AddTemplate(wsdt, "S", {"A"}, {{I(3)}});
+  ASSERT_TRUE(wsdt.Validate().ok());
+  auto u_before = TemplateRows(wsdt).at("U");
+  const size_t live_before = wsdt.LiveComponents().size();
+  ASSERT_EQ(live_before, 3u);
+
+  ASSERT_TRUE(WsdtDifference(wsdt, "L", "S", "OUT").ok());
+  EXPECT_EQ(TemplateRows(wsdt).at("U"), u_before);
+  EXPECT_EQ(wsdt.LiveComponents().size(), live_before);
+  EXPECT_TRUE(wsdt.Validate().ok());
+}
+
+TEST(WsdtAlgebraTest, DifferenceWithoutPossibleMatchComposesNothing) {
+  // L's '?' takes 1 or 2; no S row can: not the certain ones (A = 3, or
+  // A = 1 with another B) and not the '?' taking 4 or 5.
+  Wsdt wsdt;
+  AddTemplate(wsdt, "L", {"A", "B"}, {{Q(), I(7)}});
+  AddColumn(wsdt, "L", 0, "A", {I(1), I(2)});
+  AddTemplate(wsdt, "S", {"A", "B"},
+              {{I(3), I(7)}, {Q(), I(7)}, {I(1), I(8)}});
+  AddColumn(wsdt, "S", 1, "A", {I(4), I(5)});
+  const uint64_t compose_before = store::GetStoreStats().compose_nodes;
+
+  ASSERT_TRUE(WsdtDifference(wsdt, "L", "S", "OUT").ok());
+  EXPECT_EQ(store::GetStoreStats().compose_nodes, compose_before);
+  EXPECT_EQ(wsdt.Template("OUT").value()->NumRows(), 1u);
+  EXPECT_TRUE(wsdt.Validate().ok());
+}
+
+TEST(WsdtAlgebraTest, DifferenceOfCertainRowsAgainstUncertainCandidates) {
+  // Certain L rows; S.t0 has A ∈ {1, 3}, S.t1 is (1, 2) or absent. (1, 2)
+  // faces both, (3, 2) only S.t0 and (5, 6) neither.
+  Wsd wsd;
+  ASSERT_TRUE(
+      wsd.AddRelation("L", rel::Schema::FromNames({"A", "B"}), 3).ok());
+  ASSERT_TRUE(
+      wsd.AddRelation("S", rel::Schema::FromNames({"A", "B"}), 2).ok());
+  const int64_t l_rows[3][2] = {{1, 2}, {3, 2}, {5, 6}};
+  for (TupleId t = 0; t < 3; ++t) {
+    ASSERT_TRUE(
+        wsd.AddCertainField(FieldKey("L", t, "A"), I(l_rows[t][0])).ok());
+    ASSERT_TRUE(
+        wsd.AddCertainField(FieldKey("L", t, "B"), I(l_rows[t][1])).ok());
+  }
+  {
+    Component c({FieldKey("S", 0, "A")});
+    c.AddWorld({I(1)}, 0.3);
+    c.AddWorld({I(3)}, 0.7);
+    ASSERT_TRUE(wsd.AddComponent(std::move(c)).ok());
+  }
+  ASSERT_TRUE(wsd.AddCertainField(FieldKey("S", 0, "B"), I(2)).ok());
+  {
+    Component c({FieldKey("S", 1, "A"), FieldKey("S", 1, "B")});
+    c.AddWorld({I(1), I(2)}, 0.5);
+    c.AddWorld({Bot(), Bot()}, 0.5);
+    ASSERT_TRUE(wsd.AddComponent(std::move(c)).ok());
+  }
+  ExpectWsdtOracleEquivalent(
+      wsd, Plan::Difference(Plan::Scan("L"), Plan::Scan("S")),
+      "certain-left");
+}
+
+TEST(WsdtAlgebraTest, DifferenceErrorsLeaveNoTrace) {
+  // L and S could be equal, so a difference would compose their
+  // components; both errors must be raised before that.
+  Wsdt wsdt;
+  AddTemplate(wsdt, "L", {"A"}, {{Q()}});
+  AddColumn(wsdt, "L", 0, "A", {I(1), I(2)});
+  AddTemplate(wsdt, "S", {"A"}, {{Q()}});
+  AddColumn(wsdt, "S", 0, "A", {I(1), I(3)});
+  AddTemplate(wsdt, "T", {"B"}, {{I(1)}});
+  const auto rows_before = TemplateRows(wsdt);
+  const std::vector<size_t> live_before = wsdt.LiveComponents();
+
+  EXPECT_EQ(WsdtDifference(wsdt, "L", "T", "OUT").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TemplateRows(wsdt), rows_before);
+  EXPECT_EQ(wsdt.LiveComponents(), live_before);
+
+  EXPECT_EQ(WsdtDifference(wsdt, "L", "S", "T").code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(TemplateRows(wsdt), rows_before);
+  EXPECT_EQ(wsdt.LiveComponents(), live_before);
 }
 
 }  // namespace
