@@ -26,6 +26,13 @@ Symbol StringInterner::Intern(std::string_view s) {
   return sym;
 }
 
+std::optional<Symbol> StringInterner::Find(std::string_view s) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(s);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
+
 std::string_view StringInterner::Lookup(Symbol sym) const {
   std::lock_guard<std::mutex> lock(mu_);
   assert(sym < strings_.size());

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -29,6 +30,10 @@ class StringInterner {
 
   /// Interns `s`, returning a stable symbol. Idempotent.
   Symbol Intern(std::string_view s);
+
+  /// The symbol of `s` if it is interned; never inserts (probe strings
+  /// stay out of the pool).
+  std::optional<Symbol> Find(std::string_view s) const;
 
   /// Resolves a symbol; the view is valid for the process lifetime.
   std::string_view Lookup(Symbol sym) const;

@@ -1,6 +1,6 @@
 #include "core/engine/plan_driver.h"
 
-#include <atomic>
+#include <mutex>
 #include <utility>
 
 #include "rel/optimizer.h"
@@ -9,10 +9,22 @@ namespace maywsd::core::engine {
 
 namespace {
 
-/// Process-wide counter so scratch names are unique across evaluations,
-/// backends and threads (kept temps from one run never collide with the
-/// next run's).
-std::atomic<uint64_t> g_scratch_counter{0};
+/// Process-wide pool of scratch names. Backends intern relation names and
+/// the interner never frees, so a name dropped by one scope is handed to
+/// the next Fresh() instead of minting another: the interner stays as
+/// large as the most temps ever alive at once, however many evaluations
+/// run. A name is never in two live scopes (overlapping or concurrent
+/// evaluations cannot collide), and kept temps are never returned.
+struct ScratchNames {
+  std::mutex mu;
+  std::vector<std::string> free;
+  uint64_t minted = 0;
+};
+
+ScratchNames& Names() {
+  static ScratchNames* names = new ScratchNames();
+  return *names;
+}
 
 }  // namespace
 
@@ -22,21 +34,45 @@ ScratchScope::~ScratchScope() {
 }
 
 std::string ScratchScope::Fresh() {
-  std::string name =
-      "__eng_tmp" +
-      std::to_string(g_scratch_counter.fetch_add(1, std::memory_order_relaxed));
+  ScratchNames& names = Names();
+  std::string name;
+  std::vector<std::string> held;  // pooled names this backend still has
+  {
+    std::lock_guard<std::mutex> lock(names.mu);
+    while (true) {
+      if (names.free.empty()) {
+        name = "__eng_tmp" + std::to_string(names.minted++);
+        break;
+      }
+      name = std::move(names.free.back());
+      names.free.pop_back();
+      // A copy of this backend taken while another scope held the name
+      // (a fork) may still carry it.
+      if (!ops_->HasRelation(name)) break;
+      held.push_back(std::move(name));
+    }
+    for (std::string& h : held) names.free.push_back(std::move(h));
+  }
   temps_.push_back(name);
   return name;
 }
 
 Status ScratchScope::DropAll() {
   Status first = Status::Ok();
-  for (const std::string& temp : temps_) {
+  std::vector<std::string> released;
+  for (std::string& temp : temps_) {
     Status st = ops_->Drop(temp);
     if (!st.ok() && first.ok()) first = std::move(st);
+    // Only a name the backend no longer holds may be handed out again.
+    if (!ops_->HasRelation(temp)) released.push_back(std::move(temp));
   }
   temps_.clear();
   ops_->Compact();
+  if (!released.empty()) {
+    ScratchNames& names = Names();
+    std::lock_guard<std::mutex> lock(names.mu);
+    for (std::string& name : released) names.free.push_back(std::move(name));
+  }
   return first;
 }
 

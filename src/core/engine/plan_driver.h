@@ -10,10 +10,12 @@
 //   - backends with a native arbitrary-predicate selection skip the
 //     ∧/∨/¬ lowering entirely.
 //
-// Intermediate results live in scratch relations with process-unique
-// names, tracked by a ScratchScope that drops them when the scope exits —
-// including on error paths — so evaluation cannot leak intermediates into
-// the decomposition.
+// Intermediate results live in scratch relations whose names are unique
+// among live scopes, tracked by a ScratchScope that drops them when the
+// scope exits — including on error paths — so evaluation cannot leak
+// intermediates into the decomposition. Dropped names go back to a
+// process-wide pool for reuse, so repeated evaluations do not grow the
+// (append-only) string interner.
 
 #ifndef MAYWSD_CORE_ENGINE_PLAN_DRIVER_H_
 #define MAYWSD_CORE_ENGINE_PLAN_DRIVER_H_
@@ -30,9 +32,10 @@
 
 namespace maywsd::core::engine {
 
-/// Tracks the scratch relations of one evaluation. Fresh() hands out
-/// process-unique names (so overlapping or kept evaluations never
-/// collide); the destructor best-effort-drops whatever is still tracked.
+/// Tracks the scratch relations of one evaluation. Fresh() hands out names
+/// no other live scope or kept temp holds (so overlapping, concurrent or
+/// kept evaluations never collide), reusing names earlier scopes dropped;
+/// the destructor best-effort-drops whatever is still tracked.
 class ScratchScope {
  public:
   explicit ScratchScope(WorldSetOps& ops) : ops_(&ops) {}
@@ -45,10 +48,12 @@ class ScratchScope {
   std::string Fresh();
 
   /// Drops every tracked scratch relation and compacts the backend;
-  /// the first error wins. The scope forgets its temps either way.
+  /// the first error wins. The scope forgets its temps either way; the
+  /// names of those the backend no longer holds return to the pool.
   Status DropAll();
 
-  /// Releases ownership without dropping (keep_temps evaluation).
+  /// Releases ownership without dropping (keep_temps evaluation); kept
+  /// names are never reused.
   void Keep() { temps_.clear(); }
 
   const std::vector<std::string>& temps() const { return temps_; }

@@ -80,7 +80,15 @@ Status WsdtBackend::Drop(const std::string& name) {
   return wsdt_->DropRelation(name);
 }
 
-void WsdtBackend::Compact() { wsdt_->CompactComponents(); }
+void WsdtBackend::Compact() {
+  // Compaction rebuilds the slot vector and the field index, O(store):
+  // run it only once dead slots are at least as many as live ones, so its
+  // cost is amortized over the plans that killed them.
+  size_t dead = wsdt_->NumDeadComponents();
+  if (dead > 0 && dead >= wsdt_->NumComponentSlots() - dead) {
+    wsdt_->CompactComponents();
+  }
+}
 
 Result<rel::Relation> WsdtBackend::PossibleTuples(
     const std::string& relation) const {

@@ -57,6 +57,11 @@ rel::Schema LogicalSchema(const rel::Relation& tmpl) {
       tmpl.schema().attrs().begin() + 1, tmpl.schema().attrs().end()));
 }
 
+/// The logical cells of a template row (TID column stripped).
+rel::TupleRef LogicalRow(rel::TupleRef row) {
+  return rel::TupleRef(row.data() + 1, row.arity() - 1);
+}
+
 /// Cap on the local-world count of a component product (the relational
 /// compose behind select[AθB], ⊥-projection, difference and guarded
 /// updates) — the same blow-up class the world-enumeration guards protect
@@ -703,7 +708,10 @@ Status UniformSelectAttrAttr(rel::Database& db, const std::string& in_rel,
   auto b_col = logical.IndexOf(attr_b);
   if (!a_col) return Status::NotFound("attribute " + attr_a);
   if (!b_col) return Status::NotFound("attribute " + attr_b);
-  rel::Predicate pred = rel::Predicate::CmpAttr(attr_a, op, attr_b);
+  MAYWSD_ASSIGN_OR_RETURN(
+      rel::BoundPredicate pred,
+      rel::BoundPredicate::Bind(rel::Predicate::CmpAttr(attr_a, op, attr_b),
+                                logical));
 
   // Step 1: P⁰ keeps the decided-true rows as-is and the undecided rows
   // (a placeholder at A or B) for per-local-world filtering; decided-false
@@ -714,11 +722,9 @@ Status UniformSelectAttrAttr(rel::Database& db, const std::string& in_rel,
   std::vector<size_t> undecided;  // row indexes into p0
   for (size_t r = 0; r < in->NumRows(); ++r) {
     rel::TupleRef row = in->row(r);
-    rel::TupleRef logical_row(row.data() + 1, logical.arity());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, logical, logical_row));
-    if (tri == Tri::kFalse) continue;
-    if (tri == Tri::kUnknown) {
+    rel::Tri tri = pred.EvalTri(LogicalRow(row));
+    if (tri == rel::Tri::kFalse) continue;
+    if (tri == rel::Tri::kUnknown) {
       undecided.push_back(p0.NumRows());
       undecided_tids.insert(row[0].AsInt());
     }
@@ -1424,23 +1430,28 @@ Result<rel::Relation*> UpdateTarget(rel::Database& db, const std::string& rel,
   return tmpl;
 }
 
-/// Tri-evaluates `pred` on every template row (TID column stripped).
-Result<std::vector<Tri>> DecideRows(const rel::Relation& tmpl,
-                                    const rel::Predicate& pred) {
-  rel::Schema logical = LogicalSchema(tmpl);
-  for (const std::string& a : pred.ReferencedAttributes()) {
-    if (!logical.Contains(a)) {
-      return Status::NotFound("predicate attribute " + a + " not in " +
-                              tmpl.name());
-    }
+/// `pred` bound against the template's logical schema (TID column
+/// stripped), with its three-valued decision on every template row.
+struct DecidedRows {
+  rel::BoundPredicate pred;
+  std::vector<rel::Tri> tri;
+
+  /// Whether the predicate reads template column `a` (logical a − 1).
+  bool Reads(size_t a) const {
+    return std::binary_search(pred.columns().begin(), pred.columns().end(),
+                              a - 1);
   }
-  std::vector<Tri> out;
-  out.reserve(tmpl.NumRows());
+};
+
+Result<DecidedRows> DecideRows(const rel::Relation& tmpl,
+                               const rel::Predicate& pred) {
+  rel::Schema logical = LogicalSchema(tmpl);
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, logical));
+  DecidedRows out{std::move(bound), {}};
+  out.tri.reserve(tmpl.NumRows());
   for (size_t r = 0; r < tmpl.NumRows(); ++r) {
-    rel::TupleRef logical_row(tmpl.row(r).data() + 1, logical.arity());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, logical, logical_row));
-    out.push_back(tri);
+    out.tri.push_back(out.pred.EvalTri(LogicalRow(tmpl.row(r))));
   }
   return out;
 }
@@ -1568,19 +1579,19 @@ Result<UpdateScope> OpenUpdateScope(rel::Database& db, const std::string& rel,
   return scope;
 }
 
-/// Attribute values of a template row at one local world: certain cells
-/// from the template, placeholders from `dense` (per template column;
-/// filled for the columns the predicate reads).
-rel::Value ResolveAt(const rel::Schema& logical, rel::TupleRef row,
-                     const std::vector<std::vector<const rel::Value*>>& dense,
-                     size_t pos, const std::string& name) {
-  auto idx = logical.IndexOf(name);
-  if (!idx) return rel::Value::Bottom();
-  const rel::Value& cell = row[*idx + 1];
-  if (!cell.is_question()) return cell;
-  const auto& column = dense[*idx + 1];
-  return pos < column.size() && column[pos] != nullptr ? *column[pos]
-                                                       : rel::Value::Bottom();
+/// Loads local-world position `pos` into `buf`, a copy of a template
+/// row's logical cells (TID stripped): each placeholder column of `cols`
+/// takes its value there from `dense` (per template column), ⊥ where it
+/// has none — the row the bound predicate re-checks in that world.
+void LoadPosition(const std::vector<std::vector<const rel::Value*>>& dense,
+                  const std::vector<size_t>& cols, size_t pos,
+                  std::vector<rel::Value>& buf) {
+  for (size_t a : cols) {
+    const auto& column = dense[a];
+    buf[a - 1] = pos < column.size() && column[pos] != nullptr
+                     ? *column[pos]
+                     : rel::Value::Bottom();
+  }
 }
 
 /// The template columns of `row` holding a '?' for which `wanted(col)`.
@@ -1650,16 +1661,15 @@ Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
                           const std::string& guard) {
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl,
                           UpdateTarget(db, rel, "delete from"));
-  MAYWSD_ASSIGN_OR_RETURN(std::vector<Tri> decided, DecideRows(*tmpl, pred));
-  const rel::Schema logical = LogicalSchema(*tmpl);
+  MAYWSD_ASSIGN_OR_RETURN(DecidedRows decided, DecideRows(*tmpl, pred));
   const std::vector<Symbol> attrs = AttrSymbols(*tmpl);
   Symbol rel_sym = InternString(rel);
   std::unordered_set<int64_t> touched;
   bool any_unknown = false;
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] == Tri::kFalse) continue;
+    if (decided.tri[r] == rel::Tri::kFalse) continue;
     touched.insert(tmpl->row(r)[0].AsInt());
-    any_unknown = any_unknown || decided[r] == Tri::kUnknown;
+    any_unknown = any_unknown || decided.tri[r] == rel::Tri::kUnknown;
   }
   if (touched.empty()) return Status::Ok();
 
@@ -1687,7 +1697,7 @@ Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
   // Unguarded, every row decided on certain cells: a template rewriting.
   if (guard.empty() && !any_unknown) {
     for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-      if (decided[r] == Tri::kTrue) remove_row(tmpl->row(r));
+      if (decided.tri[r] == rel::Tri::kTrue) remove_row(tmpl->row(r));
     }
     return finish();
   }
@@ -1709,21 +1719,18 @@ Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
     std::vector<size_t> cols;  // marked / read placeholder columns
   };
   std::vector<Plan> plans;
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] == Tri::kFalse) continue;
+    if (decided.tri[r] == rel::Tri::kFalse) continue;
     rel::TupleRef row = tmpl->row(r);
     int64_t tid = row[0].AsInt();
-    if (decided[r] == Tri::kTrue && !conditional) {
+    if (decided.tri[r] == rel::Tri::kTrue && !conditional) {
       remove_row(row);
       continue;
     }
-    Plan plan{r, decided[r] == Tri::kUnknown, {}};
+    Plan plan{r, decided.tri[r] == rel::Tri::kUnknown, {}};
     if (plan.per_world) {
-      plan.cols = PlaceholderCols(row, [&](size_t a) {
-        return std::find(ref_attrs.begin(), ref_attrs.end(),
-                         SymbolName(attrs[a])) != ref_attrs.end();
-      });
+      plan.cols =
+          PlaceholderCols(row, [&](size_t a) { return decided.Reads(a); });
     } else {
       for (size_t a : PlaceholderCols(row, [](size_t) { return true; })) {
         auto it = scope.fields.find({rel_sym, tid, attrs[a]});
@@ -1776,6 +1783,7 @@ Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
       dense[a] = scope.worlds.Dense(e);
     }
     const std::vector<int64_t>& lwids = scope.worlds.Lwids(t);
+    std::vector<rel::Value> buf = LogicalRow(row).ToRow();
     size_t kept = 0;
     for (size_t pos = 0; pos < lwids.size(); ++pos) {
       bool present = true;
@@ -1783,9 +1791,8 @@ Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
       if (!present) continue;
       bool hit = !conditional || scope.selected[pos];
       if (hit && plan.per_world) {
-        hit = EvalPredicateResolved(pred, [&](const std::string& name) {
-          return ResolveAt(logical, row, dense, pos, name);
-        });
+        LoadPosition(dense, plan.cols, pos, buf);
+        hit = decided.pred.Eval(rel::TupleRef(buf.data(), buf.size()));
       }
       if (!hit) {
         ++kept;
@@ -1808,7 +1815,7 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
                           const std::string& guard) {
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl,
                           UpdateTarget(db, rel, "modify"));
-  MAYWSD_ASSIGN_OR_RETURN(std::vector<Tri> decided, DecideRows(*tmpl, pred));
+  MAYWSD_ASSIGN_OR_RETURN(DecidedRows decided, DecideRows(*tmpl, pred));
   std::vector<std::pair<size_t, rel::Value>> assigned;  // column → value
   for (const rel::Assignment& a : assignments) {
     auto idx = tmpl->schema().IndexOf(a.attr);
@@ -1828,15 +1835,14 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
     return std::any_of(assigned.begin(), assigned.end(),
                        [col](const auto& cv) { return cv.first == col; });
   };
-  const rel::Schema logical = LogicalSchema(*tmpl);
   const std::vector<Symbol> attrs = AttrSymbols(*tmpl);
   Symbol rel_sym = InternString(rel);
   std::unordered_set<int64_t> touched;
   bool needs_store = !guard.empty();
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] == Tri::kFalse) continue;
+    if (decided.tri[r] == rel::Tri::kFalse) continue;
     touched.insert(tmpl->row(r)[0].AsInt());
-    needs_store = needs_store || decided[r] == Tri::kUnknown ||
+    needs_store = needs_store || decided.tri[r] == rel::Tri::kUnknown ||
                   !PlaceholderCols(tmpl->row(r), is_assigned).empty();
   }
   if (touched.empty()) return Status::Ok();
@@ -1844,7 +1850,7 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
   // rewriting.
   if (!needs_store) {
     for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-      if (decided[r] != Tri::kTrue) continue;
+      if (decided.tri[r] != rel::Tri::kTrue) continue;
       for (const auto& [col, v] : assigned) tmpl->SetCell(r, col, v);
     }
     return Status::Ok();
@@ -1858,16 +1864,13 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
   // Pass 1: rows matched per world (unknown predicate and/or world
   // condition) compose everything their decision and assignment touch —
   // the placeholders the predicate reads or the assignments write, and G.
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
   std::vector<std::pair<size_t, std::vector<size_t>>> per_world;  // row, cols
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] == Tri::kFalse) continue;
-    if (decided[r] == Tri::kTrue && !conditional) continue;
+    if (decided.tri[r] == rel::Tri::kFalse) continue;
+    if (decided.tri[r] == rel::Tri::kTrue && !conditional) continue;
     rel::TupleRef row = tmpl->row(r);
     std::vector<size_t> cols = PlaceholderCols(row, [&](size_t a) {
-      return is_assigned(a) ||
-             std::find(ref_attrs.begin(), ref_attrs.end(),
-                       SymbolName(attrs[a])) != ref_attrs.end();
+      return is_assigned(a) || decided.Reads(a);
     });
     int64_t anchor = scope.g;
     for (size_t a : cols) {
@@ -1898,7 +1901,7 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
     }
   };
   for (size_t r = 0; r < tmpl->NumRows() && !conditional; ++r) {
-    if (decided[r] != Tri::kTrue) continue;
+    if (decided.tri[r] != rel::Tri::kTrue) continue;
     // Certain match in every world: overwrite template cells, and every
     // value of an assigned placeholder (absent worlds stay absent).
     rel::TupleRef row = tmpl->row(r);
@@ -1927,12 +1930,15 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
     std::vector<bool> present =
         PresenceIn(t, row, rel_sym, attrs, scope.fields, scope.worlds);
     std::vector<bool> holds(present.size(), false);
+    std::vector<rel::Value> buf = LogicalRow(row).ToRow();
     for (size_t pos = 0; pos < holds.size(); ++pos) {
       if (!present[pos] || (conditional && !scope.selected[pos])) continue;
-      holds[pos] = decided[r] == Tri::kTrue ||
-                   EvalPredicateResolved(pred, [&](const std::string& name) {
-                     return ResolveAt(logical, row, dense, pos, name);
-                   });
+      if (decided.tri[r] == rel::Tri::kTrue) {
+        holds[pos] = true;
+        continue;
+      }
+      LoadPosition(dense, cols, pos, buf);
+      holds[pos] = decided.pred.Eval(rel::TupleRef(buf.data(), buf.size()));
     }
     if (!AnyOf(holds)) continue;
     for (const auto& [col, v] : assigned) {

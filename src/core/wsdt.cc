@@ -49,16 +49,44 @@ Status Wsdt::DropRelation(const std::string& name) {
   if (it == templates_.end()) {
     return Status::NotFound("template relation " + name);
   }
+  // Component columns exist only for '?' cells: walk the relation's own
+  // cells, not the whole field index, and drop each component's columns
+  // in one pass (a component losing all of them dies without being
+  // forced). A relation without '?' leaves a shared pool shared.
+  const rel::Relation& tmpl = it->second;
   Symbol sym = InternString(name);
-  std::vector<FieldKey> to_drop;
-  for (const auto& [field, loc] : pool().field_index) {
-    if (field.rel == sym) to_drop.push_back(field);
+  std::map<int32_t, std::vector<size_t>> drops;  // component → columns
+  for (size_t r = 0; r < tmpl.NumRows(); ++r) {
+    rel::TupleRef row = tmpl.row(r);
+    for (size_t a = 0; a < tmpl.arity(); ++a) {
+      if (!row[a].is_question()) continue;
+      auto& index = pool().field_index;
+      auto f = index.find(
+          FieldKey(sym, static_cast<TupleId>(r), tmpl.schema().attr(a).name));
+      if (f == index.end()) continue;
+      drops[f->second.comp].push_back(static_cast<size_t>(f->second.col));
+      index.erase(f);
+    }
   }
-  for (const FieldKey& f : to_drop) {
-    MAYWSD_RETURN_IF_ERROR(DropField(f));
+  for (auto& [ci, cols] : drops) {
+    Component& comp = pool().components[ci];
+    if (cols.size() == comp.NumFields()) {
+      KillComponent(static_cast<size_t>(ci));
+      continue;
+    }
+    comp.DropColumns(cols);
+    for (size_t c = 0; c < comp.NumFields(); ++c) {
+      pool().field_index[comp.field(c)] = FieldLoc{ci, static_cast<int32_t>(c)};
+    }
   }
   templates_.erase(it);
   return Status::Ok();
+}
+
+void Wsdt::KillComponent(size_t i) {
+  pool().alive[i] = false;
+  pool().components[i] = Component();
+  ++pool().dead;
 }
 
 Status Wsdt::AddComponent(Component component) {
@@ -110,13 +138,12 @@ Status Wsdt::ComposeInPlace(size_t a, size_t b) {
   Component composed = Component::Compose(pool().components[a], pool().components[b]);
   size_t offset = pool().components[a].NumFields();
   pool().components[a] = std::move(composed);
-  pool().alive[b] = false;
   const Component& merged = pool().components[a];
   for (size_t c = offset; c < merged.NumFields(); ++c) {
     pool().field_index[merged.field(c)] =
         FieldLoc{static_cast<int32_t>(a), static_cast<int32_t>(c)};
   }
-  pool().components[b] = Component();
+  KillComponent(b);
   return Status::Ok();
 }
 
@@ -180,10 +207,7 @@ Status Wsdt::DropField(const FieldKey& field) {
   for (size_t c = static_cast<size_t>(loc.col); c < comp.NumFields(); ++c) {
     pool().field_index[comp.field(c)] = FieldLoc{loc.comp, static_cast<int32_t>(c)};
   }
-  if (comp.NumFields() == 0) {
-    pool().alive[loc.comp] = false;
-    pool().components[loc.comp] = Component();
-  }
+  if (comp.NumFields() == 0) KillComponent(static_cast<size_t>(loc.comp));
   return Status::Ok();
 }
 
@@ -220,8 +244,7 @@ Status Wsdt::ReplaceComponent(size_t index, std::vector<Component> parts) {
         "replacement components do not cover the same fields");
   }
   for (const FieldKey& f : old_fields) pool().field_index.erase(f);
-  pool().alive[index] = false;
-  pool().components[index] = Component();
+  KillComponent(index);
   for (Component& part : parts) {
     int32_t idx = static_cast<int32_t>(pool().components.size());
     for (size_t c = 0; c < part.NumFields(); ++c) {
@@ -240,6 +263,7 @@ void Wsdt::CompactComponents() {
   }
   pool().components = std::move(live);
   pool().alive.assign(pool().components.size(), true);
+  pool().dead = 0;
   pool().field_index.clear();
   for (size_t i = 0; i < pool().components.size(); ++i) {
     for (size_t c = 0; c < pool().components[i].NumFields(); ++c) {

@@ -58,6 +58,9 @@ class Wsdt {
   Status AddComponent(Component component);
 
   size_t NumComponentSlots() const { return pool().components.size(); }
+  /// Dead slots (composed-away or emptied components) that
+  /// CompactComponents() would remove.
+  size_t NumDeadComponents() const { return pool().dead; }
   bool IsLiveComponent(size_t i) const { return pool().alive[i]; }
   const Component& component(size_t i) const { return pool().components[i]; }
   Component& mutable_component(size_t i) { return pool().components[i]; }
@@ -94,6 +97,8 @@ class Wsdt {
   /// Replaces a live component with components covering the same fields.
   Status ReplaceComponent(size_t index, std::vector<Component> parts);
 
+  /// Removes dead slots, renumbering components and rebuilding the field
+  /// index: O(store), so callers amortize it (see WsdtBackend::Compact).
   void CompactComponents();
 
   /// Structural invariants: every '?' covered exactly once, every component
@@ -127,7 +132,11 @@ class Wsdt {
     std::vector<Component> components;
     std::vector<bool> alive;
     std::unordered_map<FieldKey, FieldLoc> field_index;
+    size_t dead = 0;  ///< slots with alive[i] == false
   };
+
+  /// Marks slot `i` dead and frees its component.
+  void KillComponent(size_t i);
 
   const Pool& pool() const { return pool_.get(); }
   Pool& pool() { return pool_.Mutable(); }

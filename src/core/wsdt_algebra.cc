@@ -1,7 +1,6 @@
 #include "core/wsdt_algebra.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -67,86 +66,6 @@ bool RowFullyCertain(rel::TupleRef row) {
 
 }  // namespace
 
-bool EvalPredicateResolved(
-    const rel::Predicate& pred,
-    const std::function<rel::Value(const std::string&)>& get) {
-  using K = rel::Predicate::Kind;
-  switch (pred.kind()) {
-    case K::kTrue:
-      return true;
-    case K::kCmpConst:
-      return get(pred.lhs_attr()).Satisfies(pred.op(), pred.constant());
-    case K::kCmpAttr:
-      return get(pred.lhs_attr()).Satisfies(pred.op(), get(pred.rhs_attr()));
-    case K::kAnd:
-      return EvalPredicateResolved(pred.left(), get) &&
-             EvalPredicateResolved(pred.right(), get);
-    case K::kOr:
-      return EvalPredicateResolved(pred.left(), get) ||
-             EvalPredicateResolved(pred.right(), get);
-    case K::kNot:
-      return !EvalPredicateResolved(pred.left(), get);
-  }
-  return false;
-}
-
-Result<Tri> TriEvalPredicate(const rel::Predicate& pred,
-                             const rel::Schema& schema, rel::TupleRef row) {
-  using K = rel::Predicate::Kind;
-  switch (pred.kind()) {
-    case K::kTrue:
-      return Tri::kTrue;
-    case K::kCmpConst: {
-      auto idx = schema.IndexOf(pred.lhs_attr());
-      if (!idx) return Status::NotFound("attribute " + pred.lhs_attr());
-      if (row[*idx].is_question()) return Tri::kUnknown;
-      return row[*idx].Satisfies(pred.op(), pred.constant()) ? Tri::kTrue
-                                                             : Tri::kFalse;
-    }
-    case K::kCmpAttr: {
-      auto li = schema.IndexOf(pred.lhs_attr());
-      auto ri = schema.IndexOf(pred.rhs_attr());
-      if (!li || !ri) {
-        return Status::NotFound("attribute " + pred.lhs_attr() + "/" +
-                                pred.rhs_attr());
-      }
-      if (row[*li].is_question() || row[*ri].is_question()) {
-        return Tri::kUnknown;
-      }
-      return row[*li].Satisfies(pred.op(), row[*ri]) ? Tri::kTrue
-                                                     : Tri::kFalse;
-    }
-    case K::kAnd: {
-      MAYWSD_ASSIGN_OR_RETURN(Tri l,
-                              TriEvalPredicate(pred.left(), schema, row));
-      if (l == Tri::kFalse) return Tri::kFalse;
-      MAYWSD_ASSIGN_OR_RETURN(Tri r,
-                              TriEvalPredicate(pred.right(), schema, row));
-      if (r == Tri::kFalse) return Tri::kFalse;
-      if (l == Tri::kTrue && r == Tri::kTrue) return Tri::kTrue;
-      return Tri::kUnknown;
-    }
-    case K::kOr: {
-      MAYWSD_ASSIGN_OR_RETURN(Tri l,
-                              TriEvalPredicate(pred.left(), schema, row));
-      if (l == Tri::kTrue) return Tri::kTrue;
-      MAYWSD_ASSIGN_OR_RETURN(Tri r,
-                              TriEvalPredicate(pred.right(), schema, row));
-      if (r == Tri::kTrue) return Tri::kTrue;
-      if (l == Tri::kFalse && r == Tri::kFalse) return Tri::kFalse;
-      return Tri::kUnknown;
-    }
-    case K::kNot: {
-      MAYWSD_ASSIGN_OR_RETURN(Tri l,
-                              TriEvalPredicate(pred.left(), schema, row));
-      if (l == Tri::kTrue) return Tri::kFalse;
-      if (l == Tri::kFalse) return Tri::kTrue;
-      return Tri::kUnknown;
-    }
-  }
-  return Status::Internal("unknown predicate kind");
-}
-
 Status WsdtCopy(Wsdt& wsdt, const std::string& src, const std::string& out) {
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* src_tmpl, wsdt.Template(src));
   if (wsdt.HasRelation(out)) {
@@ -187,41 +106,38 @@ Status WsdtSelect(Wsdt& wsdt, const std::string& src, const std::string& out,
     return Status::AlreadyExists("relation " + out);
   }
   const rel::Relation& src_tmpl = *src_ptr;
-  const rel::Schema schema = src_tmpl.schema();
+  const rel::Schema& schema = src_tmpl.schema();
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, schema));
   Symbol src_sym = InternString(src);
   Symbol out_sym = InternString(out);
 
-  // Attributes the predicate reads (deduplicated), resolved once.
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
-  std::sort(ref_attrs.begin(), ref_attrs.end());
-  ref_attrs.erase(std::unique(ref_attrs.begin(), ref_attrs.end()),
-                  ref_attrs.end());
-  for (const std::string& a : ref_attrs) {
-    if (!a.empty() && !schema.Contains(a)) {
-      return Status::NotFound("predicate attribute " + a + " not in " + src);
-    }
-  }
-
-  rel::Relation out_tmpl(schema, out);
+  // Decide every row first, so the output reserves exactly the rows kept.
+  std::vector<rel::Tri> decided(src_tmpl.NumRows());
+  size_t kept = 0;
   for (size_t r = 0; r < src_tmpl.NumRows(); ++r) {
-    rel::TupleRef row = src_tmpl.row(r);
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri, TriEvalPredicate(pred, schema, row));
-    if (tri == Tri::kFalse) continue;
+    decided[r] = bound.EvalTri(src_tmpl.row(r));
+    if (decided[r] != rel::Tri::kFalse) ++kept;
+  }
+  rel::Relation out_tmpl(schema, out);
+  out_tmpl.Reserve(kept);
+  std::vector<rel::Value> buf;  // the row with one local world's values
+  for (size_t r = 0; r < src_tmpl.NumRows(); ++r) {
+    if (decided[r] == rel::Tri::kFalse) continue;
     MAYWSD_ASSIGN_OR_RETURN(
         TupleId n, CopyRowInto(wsdt, src_tmpl, src_sym, r, &out_tmpl, out_sym));
-    if (tri == Tri::kTrue) continue;
+    if (decided[r] == rel::Tri::kTrue) continue;
 
     // Unknown: compose the components of the referenced placeholders of
     // this tuple (usually a single one) and ⊥-mark failing local worlds.
+    rel::TupleRef row = src_tmpl.row(r);
+    std::vector<size_t> unknown_attrs;
     std::set<int32_t> comps;
-    std::vector<std::string> unknown_attrs;
-    for (const std::string& a : ref_attrs) {
-      auto idx = schema.IndexOf(a);
-      if (!idx || !row[*idx].is_question()) continue;
+    for (size_t a : bound.columns()) {
+      if (!row[a].is_question()) continue;
       unknown_attrs.push_back(a);
       MAYWSD_ASSIGN_OR_RETURN(
-          FieldLoc loc,
-          wsdt.Locate(FieldKey(out_sym, n, InternString(a))));
+          FieldLoc loc, wsdt.Locate(FieldKey(out_sym, n, schema.attr(a).name)));
       comps.insert(loc.comp);
     }
     auto it = comps.begin();
@@ -230,29 +146,24 @@ Status WsdtSelect(Wsdt& wsdt, const std::string& src, const std::string& out,
       MAYWSD_RETURN_IF_ERROR(
           wsdt.ComposeInPlace(target, static_cast<size_t>(*it)));
     }
-    // Column positions of the unknown attributes in the composed component.
-    std::vector<std::pair<std::string, size_t>> attr_cols;
-    for (const std::string& a : unknown_attrs) {
+    // Column of each unknown attribute in the composed component.
+    std::vector<std::pair<size_t, size_t>> attr_cols;
+    for (size_t a : unknown_attrs) {
       MAYWSD_ASSIGN_OR_RETURN(
-          FieldLoc loc,
-          wsdt.Locate(FieldKey(out_sym, n, InternString(a))));
+          FieldLoc loc, wsdt.Locate(FieldKey(out_sym, n, schema.attr(a).name)));
       attr_cols.emplace_back(a, static_cast<size_t>(loc.col));
     }
+    buf.assign(row.data(), row.data() + row.arity());
     Component& comp = wsdt.mutable_component(target);
     for (size_t w = 0; w < comp.NumWorlds(); ++w) {
-      bool absent = false;
+      bool present = true;
       for (const auto& [a, col] : attr_cols) {
-        if (comp.at(w, col).is_bottom()) absent = true;
+        const rel::Value& v = comp.at(w, col);
+        present = present && !v.is_bottom();
+        buf[a] = v;
       }
-      if (absent) continue;  // tuple already absent in this local world
-      auto get = [&](const std::string& name) -> rel::Value {
-        for (const auto& [a, col] : attr_cols) {
-          if (a == name) return comp.at(w, col);
-        }
-        auto idx = schema.IndexOf(name);
-        return idx ? row[*idx] : rel::Value::Bottom();
-      };
-      if (!EvalPredicateResolved(pred, get)) {
+      if (!present) continue;  // tuple already absent in this local world
+      if (!bound.Eval(rel::TupleRef(buf.data(), buf.size()))) {
         for (const auto& [a, col] : attr_cols) {
           comp.at(w, col) = rel::Value::Bottom();
         }
@@ -278,9 +189,13 @@ Status WsdtProject(Wsdt& wsdt, const std::string& src, const std::string& out,
   std::vector<size_t> keep_cols;
   for (const std::string& a : attrs) keep_cols.push_back(*schema.IndexOf(a));
   std::vector<size_t> drop_cols;
+  // Temporary field names of the ⊥-carrying dropped columns, per column.
+  std::vector<Symbol> shadow(schema.arity());
   for (size_t a = 0; a < schema.arity(); ++a) {
     if (std::find(keep_cols.begin(), keep_cols.end(), a) == keep_cols.end()) {
       drop_cols.push_back(a);
+      shadow[a] = InternString("__shadow_" +
+                               std::string(schema.attr(a).name_view()));
     }
   }
 
@@ -359,11 +274,9 @@ Status WsdtProject(Wsdt& wsdt, const std::string& src, const std::string& out,
     MAYWSD_ASSIGN_OR_RETURN(FieldLoc tloc, wsdt.Locate(target_field));
     for (size_t a : drop_bottom) {
       FieldKey sf(src_sym, static_cast<TupleId>(r), schema.attr(a).name);
-      FieldKey shadow(out_sym, n,
-                      InternString("__shadow_" +
-                                   std::string(schema.attr(a).name_view())));
-      MAYWSD_RETURN_IF_ERROR(wsdt.CopyFieldInto(sf, shadow));
-      MAYWSD_ASSIGN_OR_RETURN(FieldLoc sloc, wsdt.Locate(shadow));
+      FieldKey shadow_field(out_sym, n, shadow[a]);
+      MAYWSD_RETURN_IF_ERROR(wsdt.CopyFieldInto(sf, shadow_field));
+      MAYWSD_ASSIGN_OR_RETURN(FieldLoc sloc, wsdt.Locate(shadow_field));
       if (sloc.comp != tloc.comp) {
         MAYWSD_RETURN_IF_ERROR(
             wsdt.ComposeInPlace(static_cast<size_t>(tloc.comp),
@@ -373,10 +286,7 @@ Status WsdtProject(Wsdt& wsdt, const std::string& src, const std::string& out,
     }
     wsdt.mutable_component(static_cast<size_t>(tloc.comp)).PropagateBottom();
     for (size_t a : drop_bottom) {
-      FieldKey shadow(out_sym, n,
-                      InternString("__shadow_" +
-                                   std::string(schema.attr(a).name_view())));
-      MAYWSD_RETURN_IF_ERROR(wsdt.DropField(shadow));
+      MAYWSD_RETURN_IF_ERROR(wsdt.DropField(FieldKey(out_sym, n, shadow[a])));
     }
   }
   return wsdt.AddTemplateRelation(std::move(out_tmpl));

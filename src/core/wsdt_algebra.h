@@ -18,7 +18,6 @@
 #ifndef MAYWSD_CORE_WSDT_ALGEBRA_H_
 #define MAYWSD_CORE_WSDT_ALGEBRA_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,21 +26,6 @@
 #include "core/wsdt.h"
 
 namespace maywsd::core {
-
-/// Kleene three-valued truth over templates: '?' fields are unknown.
-enum class Tri { kFalse, kTrue, kUnknown };
-
-/// Evaluates `pred` on a template row; '?' cells make comparisons unknown.
-/// Attribute references must exist in `schema`.
-Result<Tri> TriEvalPredicate(const rel::Predicate& pred,
-                             const rel::Schema& schema, rel::TupleRef row);
-
-/// Evaluates `pred` two-valued with a resolver mapping attribute names to
-/// concrete values — the per-local-world evaluation used once a row's
-/// placeholder components are composed (select and the update operators).
-bool EvalPredicateResolved(
-    const rel::Predicate& pred,
-    const std::function<rel::Value(const std::string&)>& get);
 
 /// P := R (identity copy; fresh template rows and component columns).
 Status WsdtCopy(Wsdt& wsdt, const std::string& src, const std::string& out);

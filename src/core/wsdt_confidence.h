@@ -35,6 +35,9 @@ Result<rel::Relation> WsdtPossibleTuples(const Wsdt& wsdt,
                                          const std::string& relation);
 
 /// possibleᵖ(R) on a WSDT: possible tuples with a trailing "conf" column.
+/// One pass over the template: the rows' instantiations are grouped by
+/// tuple and each tuple is scored from the rows producing it, not by a
+/// WsdtTupleConfidence probe (a full template scan) per answer.
 Result<rel::Relation> WsdtPossibleTuplesWithConfidence(
     const Wsdt& wsdt, const std::string& relation);
 
@@ -44,6 +47,7 @@ Result<bool> WsdtTupleCertain(const Wsdt& wsdt, const std::string& relation,
 
 /// certain(R) on a WSDT: the tuples occurring in every world — the
 /// consistent answers of Section 10, without expanding certain fields.
+/// Scored in the same grouped pass as WsdtPossibleTuplesWithConfidence.
 Result<rel::Relation> WsdtCertainTuples(const Wsdt& wsdt,
                                         const std::string& relation);
 

@@ -35,6 +35,21 @@ std::optional<size_t> FirstPlaceholder(rel::TupleRef row) {
   return std::nullopt;
 }
 
+/// Loads local world `w` of `comp` into a template row copy: `row[attr]`
+/// takes the value of each (attr, column) pair, so the bound predicate can
+/// re-check the row there. False when the tuple is absent in `w` (a ⊥).
+bool LoadLocalWorld(const Component& comp, size_t w,
+                    const std::vector<std::pair<size_t, size_t>>& attr_cols,
+                    std::vector<rel::Value>& row) {
+  bool present = true;
+  for (const auto& [attr, col] : attr_cols) {
+    const rel::Value& v = comp.at(w, col);
+    present = present && !v.is_bottom();
+    row[attr] = v;
+  }
+  return present;
+}
+
 }  // namespace
 
 Result<WsdtUpdateGuard> WsdtUpdateGuard::Analyze(
@@ -152,16 +167,8 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, wsdt.MutableTemplate(rel));
   const rel::Schema schema = tmpl->schema();
   Symbol rel_sym = InternString(rel);
-
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
-  std::sort(ref_attrs.begin(), ref_attrs.end());
-  ref_attrs.erase(std::unique(ref_attrs.begin(), ref_attrs.end()),
-                  ref_attrs.end());
-  for (const std::string& a : ref_attrs) {
-    if (!schema.Contains(a)) {
-      return Status::NotFound("predicate attribute " + a + " not in " + rel);
-    }
-  }
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, schema));
 
   // The guard's selection bitmap only changes when a composition grows the
   // guard component's local-world set; recompute it lazily instead of per
@@ -177,14 +184,17 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
   };
 
   const size_t num_rows = tmpl->NumRows();
+  // A copy of the current row, reused: the per-world re-checks load
+  // component values into it.
+  std::vector<rel::Value> old_row;
   for (size_t r = 0; r < num_rows; ++r) {
-    std::vector<rel::Value> old_row = tmpl->row(r).ToRow();
+    rel::TupleRef cur = tmpl->row(r);
+    old_row.assign(cur.data(), cur.data() + cur.arity());
     rel::TupleRef row_ref(old_row.data(), old_row.size());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, schema, row_ref));
-    if (tri == Tri::kFalse) continue;
+    const rel::Tri tri = bound.EvalTri(row_ref);
+    if (tri == rel::Tri::kFalse) continue;
 
-    if (tri == Tri::kTrue) {
+    if (tri == rel::Tri::kTrue) {
       std::optional<size_t> mark = FirstPlaceholder(row_ref);
       if (!conditional) {
         // Delete the tuple in every world: make one column all-⊥ (the
@@ -245,14 +255,13 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
     // predicate holds and the world is selected — WsdtSelect's unknown
     // path, inverted in place.
     std::set<int32_t> comps;
-    std::vector<std::string> unknown_attrs;
-    for (const std::string& a : ref_attrs) {
-      auto idx = schema.IndexOf(a);
-      if (!idx || !row_ref[*idx].is_question()) continue;
+    std::vector<size_t> unknown_attrs;
+    for (size_t a : bound.columns()) {
+      if (!row_ref[a].is_question()) continue;
       unknown_attrs.push_back(a);
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
+                                             schema.attr(a).name)));
       comps.insert(loc.comp);
     }
     size_t target = conditional ? guard.comp()
@@ -260,11 +269,11 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
     MAYWSD_ASSIGN_OR_RETURN(bool composed, ComposeInto(wsdt, target, comps));
     if (composed) selected_valid = false;
 
-    std::vector<std::pair<std::string, size_t>> attr_cols;
-    for (const std::string& a : unknown_attrs) {
+    std::vector<std::pair<size_t, size_t>> attr_cols;  // attr → column
+    for (size_t a : unknown_attrs) {
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
+                                             schema.attr(a).name)));
       attr_cols.emplace_back(a, static_cast<size_t>(loc.col));
     }
     if (conditional) {
@@ -273,19 +282,8 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
     Component& comp = wsdt.mutable_component(target);
     for (size_t w = 0; w < comp.NumWorlds(); ++w) {
       if (conditional && !selected[w]) continue;
-      bool absent = false;
-      for (const auto& [a, col] : attr_cols) {
-        if (comp.at(w, col).is_bottom()) absent = true;
-      }
-      if (absent) continue;
-      auto get = [&](const std::string& name) -> rel::Value {
-        for (const auto& [a, col] : attr_cols) {
-          if (a == name) return comp.at(w, col);
-        }
-        auto idx = schema.IndexOf(name);
-        return idx ? old_row[*idx] : rel::Value::Bottom();
-      };
-      if (EvalPredicateResolved(pred, get)) {
+      if (!LoadLocalWorld(comp, w, attr_cols, old_row)) continue;
+      if (bound.Eval(row_ref)) {
         for (const auto& [a, col] : attr_cols) {
           comp.at(w, col) = rel::Value::Bottom();
         }
@@ -306,16 +304,8 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, wsdt.MutableTemplate(rel));
   const rel::Schema schema = tmpl->schema();
   Symbol rel_sym = InternString(rel);
-
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
-  std::sort(ref_attrs.begin(), ref_attrs.end());
-  ref_attrs.erase(std::unique(ref_attrs.begin(), ref_attrs.end()),
-                  ref_attrs.end());
-  for (const std::string& a : ref_attrs) {
-    if (!schema.Contains(a)) {
-      return Status::NotFound("predicate attribute " + a + " not in " + rel);
-    }
-  }
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, schema));
   std::vector<std::pair<size_t, rel::Value>> assigned;  // column → value
   for (const rel::Assignment& a : assignments) {
     auto idx = schema.IndexOf(a.attr);
@@ -339,14 +329,17 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
   };
 
   const size_t num_rows = tmpl->NumRows();
+  // A copy of the current row, reused: the per-world re-checks load
+  // component values into it.
+  std::vector<rel::Value> old_row;
   for (size_t r = 0; r < num_rows; ++r) {
-    std::vector<rel::Value> old_row = tmpl->row(r).ToRow();
+    rel::TupleRef cur = tmpl->row(r);
+    old_row.assign(cur.data(), cur.data() + cur.arity());
     rel::TupleRef row_ref(old_row.data(), old_row.size());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, schema, row_ref));
-    if (tri == Tri::kFalse) continue;
+    const rel::Tri tri = bound.EvalTri(row_ref);
+    if (tri == rel::Tri::kFalse) continue;
 
-    if (tri == Tri::kTrue && !conditional) {
+    if (tri == rel::Tri::kTrue && !conditional) {
       // Certain match, all worlds: overwrite in place (⊥s — absent
       // worlds — stay ⊥).
       for (const auto& [col, v] : assigned) {
@@ -371,14 +364,13 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
     // everything the decision and the assignment depend on into one
     // component, then rewrite the selected local worlds.
     std::set<int32_t> comps;
-    std::vector<std::string> unknown_attrs;
-    for (const std::string& a : ref_attrs) {
-      auto idx = schema.IndexOf(a);
-      if (!idx || !old_row[*idx].is_question()) continue;
+    std::vector<size_t> unknown_attrs;
+    for (size_t a : bound.columns()) {
+      if (!old_row[a].is_question()) continue;
       unknown_attrs.push_back(a);
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
+                                             schema.attr(a).name)));
       comps.insert(loc.comp);
     }
     for (const auto& [col, v] : assigned) {
@@ -413,11 +405,11 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
     }
 
     // Column positions of everything we read or write, in the target.
-    std::vector<std::pair<std::string, size_t>> attr_cols;
-    for (const std::string& a : unknown_attrs) {
+    std::vector<std::pair<size_t, size_t>> attr_cols;  // attr → column
+    for (size_t a : unknown_attrs) {
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
+                                             schema.attr(a).name)));
       attr_cols.emplace_back(a, static_cast<size_t>(loc.col));
     }
     std::vector<std::pair<size_t, rel::Value>> assigned_cols;
@@ -425,8 +417,7 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
                                              schema.attr(col).name)));
-      std::string name(schema.attr(col).name_view());
-      attr_cols.emplace_back(name, static_cast<size_t>(loc.col));
+      attr_cols.emplace_back(col, static_cast<size_t>(loc.col));
       assigned_cols.emplace_back(static_cast<size_t>(loc.col), v);
     }
     if (conditional) {
@@ -438,23 +429,8 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
     comp.PropagateBottom();
     for (size_t w = 0; w < comp.NumWorlds(); ++w) {
       if (conditional && !selected[w]) continue;
-      bool absent = false;
-      for (const auto& [a, col] : attr_cols) {
-        if (comp.at(w, col).is_bottom()) absent = true;
-      }
-      if (absent) continue;
-      bool holds = true;
-      if (tri == Tri::kUnknown) {
-        auto get = [&](const std::string& name) -> rel::Value {
-          for (const auto& [a, col] : attr_cols) {
-            if (a == name) return comp.at(w, col);
-          }
-          auto idx = schema.IndexOf(name);
-          return idx ? old_row[*idx] : rel::Value::Bottom();
-        };
-        holds = EvalPredicateResolved(pred, get);
-      }
-      if (holds) {
+      if (!LoadLocalWorld(comp, w, attr_cols, old_row)) continue;
+      if (tri == rel::Tri::kTrue || bound.Eval(row_ref)) {
         for (const auto& [col, v] : assigned_cols) comp.at(w, col) = v;
       }
     }

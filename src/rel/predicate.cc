@@ -1,5 +1,6 @@
 #include "rel/predicate.h"
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 
@@ -193,6 +194,18 @@ Result<BoundPredicate> BoundPredicate::Bind(const Predicate& pred,
   };
   bound.root_ = build(pred);
   if (bound.root_ < 0) return error;
+  for (const Op& op : bound.ops_) {
+    if (op.kind == Predicate::Kind::kCmpConst) {
+      bound.columns_.push_back(op.lhs_col);
+    } else if (op.kind == Predicate::Kind::kCmpAttr) {
+      bound.columns_.push_back(op.lhs_col);
+      bound.columns_.push_back(op.rhs_col);
+    }
+  }
+  std::sort(bound.columns_.begin(), bound.columns_.end());
+  bound.columns_.erase(
+      std::unique(bound.columns_.begin(), bound.columns_.end()),
+      bound.columns_.end());
   return bound;
 }
 
@@ -217,6 +230,51 @@ bool BoundPredicate::EvalNode(int node, TupleRef row) const {
 
 bool BoundPredicate::Eval(TupleRef row) const {
   return root_ >= 0 && EvalNode(root_, row);
+}
+
+Tri BoundPredicate::EvalTriNode(int node, TupleRef row) const {
+  const Op& op = ops_[node];
+  auto decided = [](bool b) { return b ? Tri::kTrue : Tri::kFalse; };
+  switch (op.kind) {
+    case Predicate::Kind::kTrue:
+      return Tri::kTrue;
+    case Predicate::Kind::kCmpConst: {
+      const Value& v = row[op.lhs_col];
+      if (v.is_question()) return Tri::kUnknown;
+      return decided(v.Satisfies(op.cmp, op.constant));
+    }
+    case Predicate::Kind::kCmpAttr: {
+      const Value& l = row[op.lhs_col];
+      const Value& r = row[op.rhs_col];
+      if (l.is_question() || r.is_question()) return Tri::kUnknown;
+      return decided(l.Satisfies(op.cmp, r));
+    }
+    case Predicate::Kind::kAnd: {
+      Tri l = EvalTriNode(op.left, row);
+      if (l == Tri::kFalse) return Tri::kFalse;
+      Tri r = EvalTriNode(op.right, row);
+      if (r == Tri::kFalse) return Tri::kFalse;
+      return l == Tri::kTrue && r == Tri::kTrue ? Tri::kTrue : Tri::kUnknown;
+    }
+    case Predicate::Kind::kOr: {
+      Tri l = EvalTriNode(op.left, row);
+      if (l == Tri::kTrue) return Tri::kTrue;
+      Tri r = EvalTriNode(op.right, row);
+      if (r == Tri::kTrue) return Tri::kTrue;
+      return l == Tri::kFalse && r == Tri::kFalse ? Tri::kFalse
+                                                  : Tri::kUnknown;
+    }
+    case Predicate::Kind::kNot: {
+      Tri l = EvalTriNode(op.left, row);
+      if (l == Tri::kUnknown) return Tri::kUnknown;
+      return l == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
+    }
+  }
+  return Tri::kUnknown;
+}
+
+Tri BoundPredicate::EvalTri(TupleRef row) const {
+  return root_ >= 0 ? EvalTriNode(root_, row) : Tri::kFalse;
 }
 
 }  // namespace maywsd::rel

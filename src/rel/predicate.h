@@ -2,7 +2,8 @@
 //
 // Predicate is an immutable value type (shared subtrees) referencing
 // attributes by name; Bind() resolves names against a schema once, yielding
-// a BoundPredicate that evaluates per row without lookups.
+// a BoundPredicate that evaluates per row without lookups — two-valued on
+// plain rows, or three-valued on template rows whose '?' cells are unknown.
 
 #ifndef MAYWSD_REL_PREDICATE_H_
 #define MAYWSD_REL_PREDICATE_H_
@@ -78,15 +79,27 @@ class Predicate {
   std::shared_ptr<const Node> node_;
 };
 
+/// Kleene three-valued truth over template rows: '?' cells are unknown.
+enum class Tri : uint8_t { kFalse, kTrue, kUnknown };
+
 /// A predicate with attribute references resolved to column indexes.
 class BoundPredicate {
  public:
-  /// Resolves `pred` against `schema`; fails on unknown attributes.
+  /// Resolves `pred` against `schema`; fails on unknown attributes
+  /// (NotFound).
   static Result<BoundPredicate> Bind(const Predicate& pred,
                                      const Schema& schema);
 
   /// Evaluates the predicate on one row.
   bool Eval(TupleRef row) const;
+
+  /// Evaluates the predicate on a template row in Kleene logic: a
+  /// comparison with a '?' operand is unknown; ∧, ∨ and ¬ combine as
+  /// false ∧ x = false, true ∨ x = true, ¬unknown = unknown.
+  Tri EvalTri(TupleRef row) const;
+
+  /// The columns the predicate reads, ascending and deduplicated.
+  const std::vector<size_t>& columns() const { return columns_; }
 
  private:
   struct Op {
@@ -101,8 +114,10 @@ class BoundPredicate {
   };
 
   bool EvalNode(int node, TupleRef row) const;
+  Tri EvalTriNode(int node, TupleRef row) const;
 
   std::vector<Op> ops_;
+  std::vector<size_t> columns_;
   int root_ = -1;
 };
 

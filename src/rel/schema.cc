@@ -30,11 +30,11 @@ Schema Schema::FromNames(const std::vector<std::string>& names) {
 }
 
 std::optional<size_t> Schema::IndexOf(std::string_view name) const {
-  // Avoid interning probe strings: compare by content.
-  for (size_t i = 0; i < attrs_.size(); ++i) {
-    if (attrs_[i].name_view() == name) return i;
-  }
-  return std::nullopt;
+  // One non-inserting probe (probe strings are never interned), then
+  // symbol comparisons: a name nobody interned names no attribute.
+  std::optional<Symbol> sym = StringInterner::Global().Find(name);
+  if (!sym) return std::nullopt;
+  return IndexOf(*sym);
 }
 
 std::optional<size_t> Schema::IndexOf(Symbol name) const {

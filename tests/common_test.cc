@@ -83,6 +83,15 @@ TEST(InternerTest, EmptyStringIsSymbolZero) {
   EXPECT_EQ(SymbolName(0), "");
 }
 
+TEST(InternerTest, FindNeverInserts) {
+  StringInterner& pool = StringInterner::Global();
+  Symbol known = InternString("maywsd-test-find");
+  EXPECT_EQ(pool.Find("maywsd-test-find"), known);
+  size_t before = pool.size();
+  EXPECT_FALSE(pool.Find("maywsd-test-never-interned").has_value());
+  EXPECT_EQ(pool.size(), before);
+}
+
 TEST(InternerTest, ConcurrentInterningIsConsistent) {
   constexpr int kThreads = 8;
   constexpr int kStrings = 200;

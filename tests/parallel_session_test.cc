@@ -12,18 +12,23 @@
 // backend (wsd, wsdt, urel — so the fan-out path itself cannot silently
 // stop being exercised), the engine's single-leaf cost rule on all four
 // backends, the uniform store's sequential path for a join against a
-// certain leaf (it does not partition), a ThreadPool unit test, and a
-// many-sessions concurrency smoke that the TSan CI job leans on.
+// certain leaf (it does not partition), a ThreadPool unit test, and two
+// concurrency checks the TSan CI job leans on: a many-sessions smoke and
+// concurrent scratch scopes sharing the process-wide name pool.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/session.h"
 #include "core/engine/parallel.h"
+#include "core/engine/plan_driver.h"
+#include "core/engine/wsdt_backend.h"
 #include "core/uniform.h"
 #include "core/worldset.h"
 #include "tests/test_util.h"
@@ -378,6 +383,54 @@ TEST(ParallelSessionTest, ConcurrentSessionsSmoke) {
   for (int i = 0; i < kSessions; ++i) {
     EXPECT_TRUE(statuses[i].ok()) << i << ": " << statuses[i];
   }
+}
+
+TEST(ParallelSessionTest, ConcurrentScratchScopesShareTheNamePool) {
+  // Scopes on separate backends take names from and return names to one
+  // process-wide pool at the same time: no name is ever held by two live
+  // scopes, and every scope's temps are dropped from its own backend.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 150;
+  constexpr int kTempsPerScope = 3;
+  std::mutex mu;
+  std::set<std::string> live;
+  std::atomic<int> collisions{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      Wsdt wsdt;
+      rel::Relation r(rel::Schema::FromNames({"A"}), "R");
+      r.AppendRow({I(1)});
+      if (!wsdt.AddTemplateRelation(std::move(r)).ok()) ++failures;
+      engine::WsdtBackend backend(wsdt);
+      for (int round = 0; round < kRounds; ++round) {
+        engine::ScratchScope scope(backend);
+        std::vector<std::string> names;
+        for (int k = 0; k < kTempsPerScope; ++k) {
+          names.push_back(scope.Fresh());
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            if (!live.insert(names.back()).second) ++collisions;
+          }
+          if (!backend.Copy("R", names.back()).ok()) ++failures;
+        }
+        {
+          // Released before DropAll hands the names back to the pool.
+          std::lock_guard<std::mutex> lock(mu);
+          for (const std::string& name : names) live.erase(name);
+        }
+        if (!scope.DropAll().ok()) ++failures;
+        for (const std::string& name : names) {
+          if (backend.HasRelation(name)) ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(collisions.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -26,6 +26,17 @@ TEST(SchemaTest, IndexOfAndContains) {
   EXPECT_TRUE(s.Contains("C"));
 }
 
+TEST(SchemaTest, IndexOfDoesNotInternProbeNames) {
+  Schema s = Schema::FromNames({"A", "B"});
+  size_t before = StringInterner::Global().size();
+  EXPECT_FALSE(s.IndexOf("schema-test-probe-never-interned").has_value());
+  EXPECT_FALSE(s.Contains("schema-test-probe-never-interned"));
+  EXPECT_EQ(StringInterner::Global().size(), before);
+  // An interned name that is not an attribute still misses.
+  InternString("schema-test-other");
+  EXPECT_FALSE(s.IndexOf("schema-test-other").has_value());
+}
+
 TEST(SchemaTest, AddDuplicateAttributeFails) {
   Schema s = Schema::FromNames({"A"});
   EXPECT_EQ(s.AddAttribute(Attribute("A")).code(),

@@ -7,8 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "common/interner.h"
+#include "core/engine/plan_driver.h"
+#include "core/engine/wsdt_backend.h"
 #include "core/uniform.h"
 #include "core/wsdt.h"
+#include "core/wsdt_algebra.h"
+#include "core/wsdt_confidence.h"
 #include "tests/test_util.h"
 
 namespace maywsd::api {
@@ -183,6 +191,135 @@ TEST(SessionTest, RegisterRunAnswerOnEveryBackend) {
     ASSERT_TRUE(session.Drop("OUT").ok());
     EXPECT_FALSE(session.HasRelation("OUT"));
   }
+}
+
+/// A plan with several scratch intermediates (selection, projections,
+/// rename, union) over the R(A, B), S(C, D) of ScratchWsd().
+Plan ScratchHeavyPlan() {
+  return Plan::Union(
+      Plan::Project({"A"},
+                    Plan::Select(Predicate::Or(
+                                     Predicate::Cmp("A", CmpOp::kEq, I(1)),
+                                     Predicate::Cmp("B", CmpOp::kLt, I(2))),
+                                 Plan::Scan("R"))),
+      Plan::Project({"A"}, Plan::Rename({{"C", "A"}}, Plan::Scan("S"))));
+}
+
+Wsd ScratchWsd() {
+  Rng rng(41);
+  return testutil::RandomWsd(
+      rng, {{"R", {"A", "B"}, 2, 3}, {"S", {"C", "D"}, 2, 3}}, 3);
+}
+
+TEST(SessionTest, ScratchNamesDoNotGrowTheInterner) {
+  // Every Run materializes several scratch relations; the plan driver
+  // hands their names out again once a run drops them, so the interner's
+  // size after one warm-up run per backend does not depend on how many
+  // runs follow, and answers do not change when names are reused.
+  Plan plan = ScratchHeavyPlan();
+  std::vector<Session> sessions = SessionsOver(ScratchWsd());
+  std::vector<rel::Relation> expected;
+  for (Session& s : sessions) {
+    ASSERT_TRUE(s.Run(plan, "OUT").ok()) << s.BackendName();
+    expected.push_back(s.PossibleTuplesWithConfidence("OUT").value());
+    ASSERT_TRUE(s.Drop("OUT").ok());
+  }
+  const size_t interned = StringInterner::Global().size();
+  constexpr int kRuns = 1000;
+  for (int i = 0; i < kRuns; ++i) {
+    for (size_t k = 0; k < sessions.size(); ++k) {
+      // Every run on wsdt, every 20th on the other backends.
+      if (sessions[k].kind() != BackendKind::kWsdt && i % 20 != 0) continue;
+      Session& s = sessions[k];
+      ASSERT_TRUE(s.Run(plan, "OUT").ok()) << s.BackendName() << " run " << i;
+      if (i % 50 == 0) {
+        auto answers = s.PossibleTuplesWithConfidence("OUT");
+        ASSERT_TRUE(answers.ok());
+        EXPECT_TRUE(answers->EqualsAsSet(expected[k]))
+            << s.BackendName() << " run " << i;
+      }
+      ASSERT_TRUE(s.Drop("OUT").ok());
+    }
+  }
+  EXPECT_EQ(StringInterner::Global().size(), interned);
+  for (const Session& s : sessions) {
+    for (const std::string& name : s.RelationNames()) {
+      EXPECT_NE(name.rfind("__eng_tmp", 0), 0u) << s.BackendName() << name;
+    }
+  }
+}
+
+TEST(SessionTest, KeptScratchRelationsKeepTheirNames) {
+  // keep_temps leaves the intermediates in the store; their names must
+  // never be handed out again, so later runs neither collide with nor
+  // overwrite them.
+  Plan plan = ScratchHeavyPlan();
+  Wsdt wsdt = Wsdt::FromWsd(ScratchWsd()).value();
+  ASSERT_TRUE(core::WsdtEvaluate(wsdt, plan, "KEPT", /*keep_temps=*/true).ok());
+  std::map<std::string, rel::Relation> kept;
+  for (const std::string& name : wsdt.RelationNames()) {
+    if (name.rfind("__eng_tmp", 0) != 0) continue;
+    kept.emplace(name, core::WsdtPossibleTuples(wsdt, name).value());
+  }
+  ASSERT_FALSE(kept.empty());
+  rel::Relation expected = core::WsdtPossibleTuples(wsdt, "KEPT").value();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(core::WsdtEvaluate(wsdt, plan, "OUT").ok()) << i;
+    EXPECT_TRUE(core::WsdtPossibleTuples(wsdt, "OUT").value().EqualsAsSet(
+        expected))
+        << i;
+    ASSERT_TRUE(wsdt.DropRelation("OUT").ok());
+  }
+  size_t scratch = 0;
+  for (const std::string& name : wsdt.RelationNames()) {
+    if (name.rfind("__eng_tmp", 0) != 0) continue;
+    ++scratch;
+    auto it = kept.find(name);
+    ASSERT_NE(it, kept.end()) << "unexpected scratch relation " << name;
+    EXPECT_TRUE(
+        core::WsdtPossibleTuples(wsdt, name).value().EqualsAsSet(it->second))
+        << name;
+  }
+  EXPECT_EQ(scratch, kept.size());
+  EXPECT_TRUE(wsdt.Validate().ok());
+}
+
+TEST(SessionTest, ScratchScopeReusesDroppedNamesOnly) {
+  Wsdt wsdt = Wsdt::FromWsd(ScratchWsd()).value();
+  core::engine::WsdtBackend backend(wsdt);
+  std::set<std::string> dropped;
+  {
+    core::engine::ScratchScope scope(backend);
+    std::string a = scope.Fresh();
+    std::string b = scope.Fresh();
+    EXPECT_NE(a, b);  // one scope never gets a name twice
+    ASSERT_TRUE(backend.Copy("R", a).ok());
+    ASSERT_TRUE(backend.Copy("R", b).ok());
+    ASSERT_TRUE(scope.DropAll().ok());
+    EXPECT_FALSE(backend.HasRelation(a));
+    dropped = {a, b};
+  }
+  std::string reused;
+  {
+    // The next scope gets the dropped names back instead of new ones.
+    core::engine::ScratchScope scope(backend);
+    std::set<std::string> again = {scope.Fresh(), scope.Fresh()};
+    EXPECT_EQ(again, dropped);
+    reused = *again.begin();
+    for (const std::string& name : again) {
+      ASSERT_TRUE(backend.Copy("R", name).ok());
+    }
+    ASSERT_TRUE(scope.DropAll().ok());
+  }
+  // A pooled name the backend holds (a store copied while another scope
+  // had the name, say) is passed over.
+  ASSERT_TRUE(backend.Copy("R", reused).ok());
+  {
+    core::engine::ScratchScope scope(backend);
+    for (int i = 0; i < 4; ++i) EXPECT_NE(scope.Fresh(), reused);
+    scope.Keep();
+  }
+  EXPECT_TRUE(backend.HasRelation(reused));
 }
 
 TEST(SessionTest, RegisterRejectsPlaceholdersAndBottom) {

@@ -42,44 +42,41 @@ void ExpectWsdtOracleEquivalent(const Wsd& wsd_in, const Plan& plan,
   EXPECT_TRUE(WorldSetsEquivalent(*expected, *actual)) << label;
 }
 
+/// WsdtSelect's row decision: the predicate bound once, evaluated in
+/// Kleene logic over the template row.
+rel::Tri TriEval(const Predicate& pred, const rel::Schema& schema,
+                 rel::TupleRef row) {
+  auto bound = rel::BoundPredicate::Bind(pred, schema);
+  EXPECT_TRUE(bound.ok()) << bound.status();
+  return bound.ok() ? bound->EvalTri(row) : rel::Tri::kFalse;
+}
+
 TEST(TriEvalTest, ThreeValuedLogic) {
   rel::Schema schema = rel::Schema::FromNames({"A", "B"});
   rel::Relation r(schema, "T");
   r.AppendRow({I(1), testutil::Q()});
   rel::TupleRef row = r.row(0);
   // Certain comparisons.
-  EXPECT_EQ(TriEvalPredicate(Predicate::Cmp("A", CmpOp::kEq, I(1)), schema,
-                             row)
-                .value(),
-            Tri::kTrue);
+  EXPECT_EQ(TriEval(Predicate::Cmp("A", CmpOp::kEq, I(1)), schema, row),
+            rel::Tri::kTrue);
   // Unknown comparisons.
-  EXPECT_EQ(TriEvalPredicate(Predicate::Cmp("B", CmpOp::kEq, I(1)), schema,
-                             row)
-                .value(),
-            Tri::kUnknown);
+  EXPECT_EQ(TriEval(Predicate::Cmp("B", CmpOp::kEq, I(1)), schema, row),
+            rel::Tri::kUnknown);
   // Kleene: false AND unknown = false; true OR unknown = true.
-  EXPECT_EQ(TriEvalPredicate(
-                Predicate::And(Predicate::Cmp("A", CmpOp::kEq, I(9)),
-                               Predicate::Cmp("B", CmpOp::kEq, I(1))),
-                schema, row)
-                .value(),
-            Tri::kFalse);
-  EXPECT_EQ(TriEvalPredicate(
-                Predicate::Or(Predicate::Cmp("A", CmpOp::kEq, I(1)),
-                              Predicate::Cmp("B", CmpOp::kEq, I(1))),
-                schema, row)
-                .value(),
-            Tri::kTrue);
-  EXPECT_EQ(TriEvalPredicate(
-                Predicate::Not(Predicate::Cmp("B", CmpOp::kEq, I(1))),
-                schema, row)
-                .value(),
-            Tri::kUnknown);
+  EXPECT_EQ(TriEval(Predicate::And(Predicate::Cmp("A", CmpOp::kEq, I(9)),
+                                   Predicate::Cmp("B", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kFalse);
+  EXPECT_EQ(TriEval(Predicate::Or(Predicate::Cmp("A", CmpOp::kEq, I(1)),
+                                  Predicate::Cmp("B", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kTrue);
+  EXPECT_EQ(TriEval(Predicate::Not(Predicate::Cmp("B", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kUnknown);
   // Attribute-attribute with an unknown side.
-  EXPECT_EQ(TriEvalPredicate(Predicate::CmpAttr("A", CmpOp::kEq, "B"),
-                             schema, row)
-                .value(),
-            Tri::kUnknown);
+  EXPECT_EQ(TriEval(Predicate::CmpAttr("A", CmpOp::kEq, "B"), schema, row),
+            rel::Tri::kUnknown);
 }
 
 class WsdtAlgebraProperty : public ::testing::TestWithParam<int> {};

@@ -114,6 +114,64 @@ TEST_P(WsdtConfidenceProperty, MatchesWsdPathAfterQuery) {
   }
 }
 
+TEST_P(WsdtConfidenceProperty, GroupedAnswersMatchPerTupleAndPerWorld) {
+  // possibleᵖ(R) and certain(R) are computed in one grouped pass over the
+  // template; each answer must equal the single-probe WsdtTupleConfidence
+  // / WsdtTupleCertain and the per-world enumeration. The projections and
+  // the union make several template rows produce the same tuple.
+  Rng rng(GetParam() + 200);
+  Wsd wsd = testutil::RandomWsd(
+      rng, {{"R", {"A", "B"}, 3, 2}, {"R2", {"A", "B"}, 2, 2}}, 4);
+  auto wsdt = Wsdt::FromWsd(wsd).value();
+  using rel::Plan;
+  const std::vector<std::pair<std::string, Plan>> queries = {
+      {"Q0", Plan::Scan("R")},
+      {"Q1", Plan::Project({"A"}, Plan::Scan("R"))},
+      {"Q2", Plan::Union(Plan::Scan("R"), Plan::Scan("R2"))},
+      {"Q3", Plan::Project(
+                 {"B"}, Plan::Select(rel::Predicate::Cmp("A", rel::CmpOp::kGe,
+                                                         I(1)),
+                                     Plan::Union(Plan::Scan("R"),
+                                                 Plan::Scan("R2"))))}};
+  for (const auto& [name, plan] : queries) {
+    ASSERT_TRUE(WsdtEvaluate(wsdt, plan, name).ok()) << name;
+  }
+  Wsd expanded = wsdt.ToWsd().value();
+  auto worlds = expanded.EnumerateWorlds(1000000).value();
+  for (const auto& [name, plan] : queries) {
+    std::string label = name + " seed " + std::to_string(GetParam());
+    auto possible = WsdtPossibleTuples(wsdt, name).value();
+    auto scored = WsdtPossibleTuplesWithConfidence(wsdt, name).value();
+    auto certain = WsdtCertainTuples(wsdt, name).value();
+    ASSERT_EQ(scored.NumRows(), possible.NumRows()) << label;
+    size_t num_certain = 0;
+    for (size_t i = 0; i < possible.NumRows(); ++i) {
+      rel::TupleRef t = possible.row(i);
+      rel::TupleRef s(scored.row(i).data(), t.arity());
+      ASSERT_TRUE(s == t) << label << " row " << i;
+      double conf = scored.row(i)[t.arity()].AsDouble();
+      EXPECT_NEAR(conf, WsdtTupleConfidence(wsdt, name, t.span()).value(),
+                  1e-9)
+          << label << " " << t.ToString();
+      double brute = 0;
+      bool everywhere = true;
+      for (const auto& w : worlds) {
+        bool in = w.db.GetRelation(name).value()->ContainsRow(t.span());
+        if (in) brute += w.prob;
+        everywhere = everywhere && in;
+      }
+      EXPECT_NEAR(conf, brute, 1e-9) << label << " " << t.ToString();
+      bool is_certain = WsdtTupleCertain(wsdt, name, t.span()).value();
+      EXPECT_EQ(is_certain, everywhere) << label << " " << t.ToString();
+      EXPECT_EQ(certain.ContainsRow(t.span()), is_certain)
+          << label << " " << t.ToString();
+      num_certain += is_certain ? 1 : 0;
+    }
+    EXPECT_EQ(certain.NumRows(), num_certain) << label;
+    EXPECT_TRUE(certain.IsSetNormalized()) << label;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WsdtConfidenceProperty,
                          ::testing::Range(0, 10));
 
