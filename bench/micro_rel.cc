@@ -1,7 +1,8 @@
 // Microbenchmarks of the relational-engine substrate (google-benchmark):
 // scan+selection, projection with dedup, hash join — the operations the
 // UWSDT rewritings bottom out in (the paper's "lion's share of the
-// processing time is taken by the templates").
+// processing time is taken by the templates") — and the serve_worlds
+// response text of a census answer.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "census/queries.h"
 #include "rel/eval.h"
 #include "rel/optimizer.h"
+#include "server/protocol.h"
 
 namespace maywsd::rel {
 namespace {
@@ -64,6 +66,39 @@ void BM_OptimizerRewrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizerRewrite);
+
+/// A 500-row answer of an ID column beside the 50 census attributes — all
+/// ints — as a serve_worlds `read` returns it, formatted for the wire.
+void BM_FormatResponse(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const census::CensusSchema schema = census::CensusSchema::Standard();
+  const Relation census = census::GenerateCensus(schema, rows, /*seed=*/1);
+  std::vector<std::string> names = {"ID"};
+  for (const auto& a : schema.attributes()) {
+    names.push_back(a.name);
+  }
+  Relation answer(Schema::FromNames(names), "R");
+  std::vector<Value> row;
+  for (size_t i = 0; i < census.NumRows(); ++i) {
+    row.clear();
+    row.push_back(Value::Int(static_cast<int64_t>(i)));
+    const auto src = census.row(i).span();
+    row.insert(row.end(), src.begin(), src.end());
+    answer.AppendRow(row);
+  }
+  server::Response response;
+  response.relation = std::move(answer);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out = server::FormatResponse(response);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows *
+                                               names.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_FormatResponse)->Arg(500);
 
 }  // namespace
 }  // namespace maywsd::rel

@@ -33,7 +33,7 @@ rel::Relation MarkerRelation(const char* name, const char* attr) {
 std::string TupleKey(std::span<const Value> tuple) {
   std::string key;
   for (const Value& v : tuple) {
-    key += v.ToString();
+    v.AppendTo(key);
     key += '\x1f';
   }
   return key;
@@ -208,13 +208,19 @@ class KnowledgeState {
       return it->second.name;
     }
     ++knowledge_cache_misses_;
-    if (it != derived_.end() && session_.HasRelation(it->second.name)) {
-      MAYWSD_RETURN_IF_ERROR(session_.Drop(it->second.name));
-    }
+    // A stale witness gives its name to its successor, so an agent interns
+    // one name per question however often it re-materializes.
     std::string name;
-    do {
-      name = std::string(kDerivedPrefix) + std::to_string(next_id_++);
-    } while (session_.HasRelation(name));
+    if (it != derived_.end()) {
+      if (session_.HasRelation(it->second.name)) {
+        MAYWSD_RETURN_IF_ERROR(session_.Drop(it->second.name));
+      }
+      name = it->second.name;
+    } else {
+      do {
+        name = std::string(kDerivedPrefix) + std::to_string(next_id_++);
+      } while (session_.HasRelation(name));
+    }
     MAYWSD_RETURN_IF_ERROR(session_.Run(plan, name));
     derived_[key] = DerivedEntry{name, base_version, alive_version};
     return name;

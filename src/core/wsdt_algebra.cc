@@ -51,7 +51,7 @@ Result<TupleId> CopyRowInto(Wsdt& wsdt, const rel::Relation& src_tmpl,
 std::string CertainRowKey(rel::TupleRef row) {
   std::string key;
   for (size_t a = 0; a < row.arity(); ++a) {
-    key += row[a].ToString();
+    row[a].AppendTo(key);
     key += '\x1f';
   }
   return key;

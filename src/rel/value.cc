@@ -1,8 +1,8 @@
 #include "rel/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <ostream>
-#include <sstream>
 
 namespace maywsd::rel {
 
@@ -156,32 +156,55 @@ size_t Value::Hash() const {
   return seed;
 }
 
-std::string Value::ToString() const {
+namespace {
+
+/// "00" through "99", the two digits of every value below 100.
+constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
+}  // namespace
+
+void Value::AppendTo(std::string& out) const {
   switch (kind_) {
     case ValueKind::kBottom:
-      return "\xe2\x8a\xa5";  // ⊥
+      out += "\xe2\x8a\xa5";  // ⊥
+      return;
     case ValueKind::kQuestion:
-      return "?";
-    case ValueKind::kInt:
-      return std::to_string(int_);
+      out += '?';
+      return;
+    case ValueKind::kInt: {
+      // Answers are mostly small codes: a value below 100 is its digit
+      // pair, without to_chars' length loop.
+      if (static_cast<uint64_t>(int_) < 100) {
+        const char* pair = kDigitPairs + 2 * int_;
+        if (int_ >= 10) out += pair[0];
+        out += pair[1];
+        return;
+      }
+      char buf[20];  // "-9223372036854775808"
+      const char* end = std::to_chars(buf, buf + sizeof(buf), int_).ptr;
+      out.append(buf, static_cast<size_t>(end - buf));
+      return;
+    }
     case ValueKind::kDouble: {
-      std::ostringstream os;
-      os << double_;
-      return os.str();
+      // General format at precision 6 is printf's "%.6g" in the C locale,
+      // the text `std::ostream << double` prints with default flags.
+      char buf[32];  // "-1.79769e+308" is the longest finite spelling
+      const char* end = std::to_chars(buf, buf + sizeof(buf), double_,
+                                      std::chars_format::general, 6)
+                            .ptr;
+      out.append(buf, static_cast<size_t>(end - buf));
+      return;
     }
-    case ValueKind::kString: {
-      // Built char-by-part: `"'" + std::string(...) + "'"` trips GCC 12's
-      // -Wrestrict false positive (PR105651) under -O3.
-      std::string out;
-      std::string_view sv = AsStringView();
-      out.reserve(sv.size() + 2);
+    case ValueKind::kString:
       out += '\'';
-      out += sv;
+      out += AsStringView();
       out += '\'';
-      return out;
-    }
+      return;
   }
-  return "<invalid>";
+  out += "<invalid>";
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {

@@ -113,8 +113,18 @@ class Value {
   /// Hash consistent with operator==.
   size_t Hash() const;
 
+  /// Appends the value's text to `out`: ints in decimal, strings
+  /// single-quoted ('abc'), ⊥ and ? as themselves, doubles as printf's
+  /// "%.6g" (3.5, 1e-05). The one value-to-text routine: ToString,
+  /// operator<< and the server's response formatter all go through it.
+  void AppendTo(std::string& out) const;
+
   /// Rendering for debugging and table output: ⊥, ?, 42, 3.5, 'abc'.
-  std::string ToString() const;
+  std::string ToString() const {
+    std::string out;
+    AppendTo(out);
+    return out;
+  }
 
  private:
   ValueKind kind_;

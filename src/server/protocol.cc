@@ -1,9 +1,13 @@
 #include "server/protocol.h"
 
-#include <cstdlib>
-#include <sstream>
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -15,117 +19,159 @@ namespace maywsd::server {
 
 namespace {
 
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) tokens.push_back(std::move(tok));
-  return tokens;
+/// The characters `operator>>` skips in the C locale (std::isspace).
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
 
-std::vector<std::string> SplitComma(const std::string& s) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      parts.push_back(s.substr(start));
-      break;
-    }
-    parts.push_back(s.substr(start, comma - start));
-    start = comma + 1;
+/// Whitespace-separated tokens, viewing `line`.
+std::vector<std::string_view> Tokenize(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  size_t i = 0;
+  while (true) {
+    while (i < line.size() && IsSpace(line[i])) ++i;
+    if (i == line.size()) return tokens;
+    const size_t start = i;
+    while (i < line.size() && !IsSpace(line[i])) ++i;
+    tokens.push_back(line.substr(start, i - start));
   }
-  return parts;
+}
+
+/// Comma-separated items, viewing `s`; "a,,b" and "a," keep their empty
+/// items so the callers can reject them.
+std::vector<std::string_view> SplitComma(std::string_view s) {
+  std::vector<std::string_view> parts;
+  while (true) {
+    const size_t comma = s.find(',');
+    parts.push_back(s.substr(0, comma));
+    if (comma == std::string_view::npos) return parts;
+    s.remove_prefix(comma + 1);
+  }
+}
+
+/// The integer a token spells in strtoll's decimal grammar — an optional
+/// sign, then digits only; out-of-range values clamp to the int64 limits.
+std::optional<int64_t> ParseInt(std::string_view token) {
+  const char* first = token.data();
+  const char* last = first + token.size();
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && *first == '-') return std::nullopt;
+  }
+  int64_t v = 0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (first == last || end != last) return std::nullopt;
+  if (ec == std::errc::result_out_of_range) {
+    return token[0] == '-' ? std::numeric_limits<int64_t>::min()
+                           : std::numeric_limits<int64_t>::max();
+  }
+  return v;
 }
 
 /// An integer token is an integer value; anything else is a string.
-rel::Value ParseValue(const std::string& token) {
-  if (!token.empty()) {
-    char* end = nullptr;
-    long long v = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() + token.size()) return rel::Value::Int(v);
-  }
+rel::Value ParseValue(std::string_view token) {
+  if (std::optional<int64_t> v = ParseInt(token)) return rel::Value::Int(*v);
   return rel::Value::String(token);
 }
 
-Result<rel::CmpOp> ParseCmpOp(const std::string& token) {
+Result<rel::CmpOp> ParseCmpOp(std::string_view token) {
   if (token == "=") return rel::CmpOp::kEq;
   if (token == "!=" || token == "<>") return rel::CmpOp::kNe;
   if (token == "<") return rel::CmpOp::kLt;
   if (token == "<=") return rel::CmpOp::kLe;
   if (token == ">") return rel::CmpOp::kGt;
   if (token == ">=") return rel::CmpOp::kGe;
-  return Status::InvalidArgument("bad comparison operator: " + token);
+  return Status::InvalidArgument("bad comparison operator: " +
+                                 std::string(token));
 }
 
-Result<rel::Relation> ParseRows(const std::string& name,
-                                const std::string& attrs_token,
-                                const std::vector<std::string>& row_tokens) {
+using Tokens = std::span<const std::string_view>;
+
+Result<rel::Relation> ParseRows(std::string_view name,
+                                std::string_view attrs_token,
+                                Tokens row_tokens) {
   std::vector<rel::Attribute> attrs;
-  for (const std::string& a : SplitComma(attrs_token)) {
+  for (std::string_view a : SplitComma(attrs_token)) {
     if (a.empty()) {
-      return Status::InvalidArgument("empty attribute in " + attrs_token);
+      return Status::InvalidArgument("empty attribute in " +
+                                     std::string(attrs_token));
     }
     attrs.emplace_back(a);
   }
-  rel::Relation out(rel::Schema(std::move(attrs)), name);
-  for (const std::string& row_token : row_tokens) {
-    std::vector<rel::Value> row;
-    for (const std::string& v : SplitComma(row_token)) {
+  rel::Relation out(rel::Schema(std::move(attrs)), std::string(name));
+  std::vector<rel::Value> row;
+  for (std::string_view row_token : row_tokens) {
+    row.clear();
+    for (std::string_view v : SplitComma(row_token)) {
       // The grammar cannot spell an empty string value; an empty item is a
       // truncated or doubled comma, not data.
       if (v.empty()) {
-        return Status::InvalidArgument("empty value in row " + row_token);
+        return Status::InvalidArgument("empty value in row " +
+                                       std::string(row_token));
       }
       row.push_back(ParseValue(v));
     }
     if (row.size() != out.arity()) {
-      return Status::InvalidArgument("row " + row_token + " has " +
-                                     std::to_string(row.size()) +
-                                     " values, schema wants " +
-                                     std::to_string(out.arity()));
+      return Status::InvalidArgument(
+          "row " + std::string(row_token) + " has " +
+          std::to_string(row.size()) + " values, schema wants " +
+          std::to_string(out.arity()));
     }
     out.AppendRow(row);
   }
   return out;
 }
 
+/// <attr> <op> <value> of a simple comparison predicate.
+Result<rel::Predicate> ParseCmpPredicate(std::string_view attr,
+                                         std::string_view op,
+                                         std::string_view value) {
+  MAYWSD_ASSIGN_OR_RETURN(rel::CmpOp cmp, ParseCmpOp(op));
+  return rel::Predicate::Cmp(std::string(attr), cmp, ParseValue(value));
+}
+
 /// run <sid> <out> <scan|select|project> ... — tokens[3:] here.
-Result<rel::Plan> ParsePlan(const std::vector<std::string>& t) {
+Result<rel::Plan> ParsePlan(Tokens t) {
   if (t.empty()) return Status::InvalidArgument("run: missing plan");
-  const std::string& op = t[0];
+  const std::string_view op = t[0];
   if (op == "scan") {
     if (t.size() != 2) return Status::InvalidArgument("run: scan <rel>");
-    return rel::Plan::Scan(t[1]);
+    return rel::Plan::Scan(std::string(t[1]));
   }
   if (op == "select") {
     if (t.size() != 5) {
       return Status::InvalidArgument("run: select <rel> <attr> <op> <value>");
     }
-    MAYWSD_ASSIGN_OR_RETURN(rel::CmpOp cmp, ParseCmpOp(t[3]));
-    return rel::Plan::Select(rel::Predicate::Cmp(t[2], cmp, ParseValue(t[4])),
-                             rel::Plan::Scan(t[1]));
+    MAYWSD_ASSIGN_OR_RETURN(rel::Predicate pred,
+                            ParseCmpPredicate(t[2], t[3], t[4]));
+    return rel::Plan::Select(std::move(pred),
+                             rel::Plan::Scan(std::string(t[1])));
   }
   if (op == "project") {
     if (t.size() != 3) {
       return Status::InvalidArgument("run: project <rel> <attr,attr,...>");
     }
-    std::vector<std::string> attrs = SplitComma(t[2]);
-    for (const std::string& a : attrs) {
+    std::vector<std::string> attrs;
+    for (std::string_view a : SplitComma(t[2])) {
       if (a.empty()) {
-        return Status::InvalidArgument("empty attribute in " + t[2]);
+        return Status::InvalidArgument("empty attribute in " +
+                                       std::string(t[2]));
       }
+      attrs.emplace_back(a);
     }
-    return rel::Plan::Project(std::move(attrs), rel::Plan::Scan(t[1]));
+    return rel::Plan::Project(std::move(attrs),
+                              rel::Plan::Scan(std::string(t[1])));
   }
-  return Status::InvalidArgument("run: unknown plan operator " + op);
+  return Status::InvalidArgument("run: unknown plan operator " +
+                                 std::string(op));
 }
 
 /// apply <sid> <insert|delete|modify> ... — tokens[2:] here.
-Result<rel::UpdateOp> ParseUpdate(const std::vector<std::string>& t) {
+Result<rel::UpdateOp> ParseUpdate(Tokens t) {
   if (t.size() < 2) return Status::InvalidArgument("apply: missing update");
-  const std::string& op = t[0];
-  const std::string& relation = t[1];
+  const std::string_view op = t[0];
+  std::string relation(t[1]);
   if (op == "insert") {
     // Session::Apply validates inserted attribute names against the
     // target, so the wire carries them (same shape register uses).
@@ -133,48 +179,48 @@ Result<rel::UpdateOp> ParseUpdate(const std::vector<std::string>& t) {
       return Status::InvalidArgument(
           "apply: insert <rel> <attr,attr,...> <v,v,...> ...");
     }
-    MAYWSD_ASSIGN_OR_RETURN(
-        rel::Relation rows,
-        ParseRows(relation, t[2],
-                  std::vector<std::string>(t.begin() + 3, t.end())));
-    return rel::UpdateOp::InsertTuples(relation, std::move(rows));
+    MAYWSD_ASSIGN_OR_RETURN(rel::Relation rows,
+                            ParseRows(relation, t[2], t.subspan(3)));
+    return rel::UpdateOp::InsertTuples(std::move(relation), std::move(rows));
   }
   if (op == "delete") {
     if (t.size() != 5) {
       return Status::InvalidArgument("apply: delete <rel> <attr> <op> <value>");
     }
-    MAYWSD_ASSIGN_OR_RETURN(rel::CmpOp cmp, ParseCmpOp(t[3]));
-    return rel::UpdateOp::DeleteWhere(
-        relation, rel::Predicate::Cmp(t[2], cmp, ParseValue(t[4])));
+    MAYWSD_ASSIGN_OR_RETURN(rel::Predicate pred,
+                            ParseCmpPredicate(t[2], t[3], t[4]));
+    return rel::UpdateOp::DeleteWhere(std::move(relation), std::move(pred));
   }
   if (op == "modify") {
     if (t.size() != 7 || t[5] != "set") {
       return Status::InvalidArgument(
           "apply: modify <rel> <attr> <op> <value> set <attr>=<value>[,...]");
     }
-    MAYWSD_ASSIGN_OR_RETURN(rel::CmpOp cmp, ParseCmpOp(t[3]));
+    MAYWSD_ASSIGN_OR_RETURN(rel::Predicate pred,
+                            ParseCmpPredicate(t[2], t[3], t[4]));
     std::vector<rel::Assignment> assignments;
-    for (const std::string& a : SplitComma(t[6])) {
-      size_t eq = a.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == a.size()) {
-        return Status::InvalidArgument("bad assignment: " + a);
+    for (std::string_view a : SplitComma(t[6])) {
+      const size_t eq = a.find('=');
+      if (eq == std::string_view::npos || eq == 0 || eq + 1 == a.size()) {
+        return Status::InvalidArgument("bad assignment: " + std::string(a));
       }
       assignments.push_back(
-          {a.substr(0, eq), ParseValue(a.substr(eq + 1))});
+          {std::string(a.substr(0, eq)), ParseValue(a.substr(eq + 1))});
     }
-    return rel::UpdateOp::ModifyWhere(
-        relation, rel::Predicate::Cmp(t[2], cmp, ParseValue(t[4])),
-        std::move(assignments));
+    return rel::UpdateOp::ModifyWhere(std::move(relation), std::move(pred),
+                                      std::move(assignments));
   }
-  return Status::InvalidArgument("apply: unknown update kind " + op);
+  return Status::InvalidArgument("apply: unknown update kind " +
+                                 std::string(op));
 }
 
 }  // namespace
 
 Result<Request> ParseRequest(const std::string& line) {
-  std::vector<std::string> t = Tokenize(line);
+  const std::vector<std::string_view> tokens = Tokenize(line);
+  const Tokens t(tokens);
   if (t.empty()) return Status::InvalidArgument("empty request");
-  const std::string& verb = t[0];
+  const std::string_view verb = t[0];
   Request req;
 
   if (verb == "sessions") {
@@ -182,7 +228,7 @@ Result<Request> ParseRequest(const std::string& line) {
     return req;
   }
   if (t.size() < 2) {
-    return Status::InvalidArgument(verb + ": missing session id");
+    return Status::InvalidArgument(std::string(verb) + ": missing session id");
   }
   req.session = t[1];
 
@@ -204,10 +250,8 @@ Result<Request> ParseRequest(const std::string& line) {
           "register <sid> <rel> <attr,attr,...> [<v,v,...> ...]");
     }
     req.kind = Request::Kind::kRegister;
-    MAYWSD_ASSIGN_OR_RETURN(
-        rel::Relation relation,
-        ParseRows(t[2], t[3],
-                  std::vector<std::string>(t.begin() + 4, t.end())));
+    MAYWSD_ASSIGN_OR_RETURN(rel::Relation relation,
+                            ParseRows(t[2], t[3], t.subspan(4)));
     req.relation = std::move(relation);
     return req;
   }
@@ -215,24 +259,20 @@ Result<Request> ParseRequest(const std::string& line) {
     if (t.size() < 4) return Status::InvalidArgument("run <sid> <out> <plan>");
     req.kind = Request::Kind::kRun;
     req.target = t[2];
-    MAYWSD_ASSIGN_OR_RETURN(
-        rel::Plan plan,
-        ParsePlan(std::vector<std::string>(t.begin() + 3, t.end())));
+    MAYWSD_ASSIGN_OR_RETURN(rel::Plan plan, ParsePlan(t.subspan(3)));
     req.plan = std::move(plan);
     return req;
   }
   if (verb == "apply") {
     req.kind = Request::Kind::kApply;
-    MAYWSD_ASSIGN_OR_RETURN(
-        rel::UpdateOp update,
-        ParseUpdate(std::vector<std::string>(t.begin() + 2, t.end())));
+    MAYWSD_ASSIGN_OR_RETURN(rel::UpdateOp update, ParseUpdate(t.subspan(2)));
     req.update = std::move(update);
     return req;
   }
   if (verb == "possible" || verb == "certain" || verb == "read" ||
       verb == "conf") {
     if (t.size() < 3) {
-      return Status::InvalidArgument(verb + " <sid> <rel>");
+      return Status::InvalidArgument(std::string(verb) + " <sid> <rel>");
     }
     req.target = t[2];
     if (verb == "possible") {
@@ -246,9 +286,10 @@ Result<Request> ParseRequest(const std::string& line) {
         return Status::InvalidArgument("conf <sid> <rel> <v,v,...>");
       }
       req.kind = Request::Kind::kConfidence;
-      for (const std::string& v : SplitComma(t[3])) {
+      for (std::string_view v : SplitComma(t[3])) {
         if (v.empty()) {
-          return Status::InvalidArgument("empty value in tuple " + t[3]);
+          return Status::InvalidArgument("empty value in tuple " +
+                                         std::string(t[3]));
         }
         req.tuple.push_back(ParseValue(v));
       }
@@ -259,7 +300,7 @@ Result<Request> ParseRequest(const std::string& line) {
     req.kind = Request::Kind::kStats;
     return req;
   }
-  return Status::InvalidArgument("unknown verb: " + verb);
+  return Status::InvalidArgument("unknown verb: " + std::string(verb));
 }
 
 namespace {
@@ -283,82 +324,91 @@ std::string_view FormatCmpOp(rel::CmpOp op) {
   return "=";
 }
 
-/// A value as a wire token; fails when the token would not survive
+/// Appends each part (strings, views, literals, chars) to `out` in order.
+template <typename... Parts>
+void Append(std::string& out, const Parts&... parts) {
+  ((out += parts), ...);
+}
+
+/// Appends a value as a wire token; fails when the token would not survive
 /// re-tokenization (whitespace/comma split, or a string that re-parses as
 /// an integer).
-Result<std::string> FormatValue(const rel::Value& v) {
-  if (v.is_int()) return std::to_string(v.AsInt());
+Status AppendWireValue(const rel::Value& v, std::string& out) {
+  if (v.is_int()) {
+    v.AppendTo(out);
+    return Status::Ok();
+  }
   if (!v.is_string()) {
     return Status::InvalidArgument("value not expressible on the wire: " +
                                    v.ToString());
   }
-  std::string s(v.AsStringView());
+  const std::string_view s = v.AsStringView();
   if (s.empty()) return Status::InvalidArgument("empty string value");
   for (char c : s) {
-    if (c == ',' || c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+    if (c == ',' || IsSpace(c)) {
       return Status::InvalidArgument("string value would not re-tokenize: " +
-                                     s);
+                                     std::string(s));
     }
   }
-  if (!(ParseValue(s) == v)) {
-    return Status::InvalidArgument("string value re-parses as integer: " + s);
+  if (ParseInt(s).has_value()) {
+    return Status::InvalidArgument("string value re-parses as integer: " +
+                                   std::string(s));
   }
-  return s;
+  out += s;
+  return Status::Ok();
 }
 
-/// <v,v,...> tokens of a relation's rows, appended after `out`.
-Status FormatRows(const rel::Relation& r, std::ostringstream& os) {
-  for (size_t i = 0; i < r.NumRows(); ++i) {
-    os << " ";
-    const auto row = r.row(i).span();
-    for (size_t c = 0; c < row.size(); ++c) {
-      MAYWSD_ASSIGN_OR_RETURN(std::string tok, FormatValue(row[c]));
-      os << (c == 0 ? "" : ",") << tok;
-    }
+/// <v,v,...> of a tuple.
+Status AppendWireTuple(std::span<const rel::Value> tuple, std::string& out) {
+  for (size_t i = 0; i < tuple.size(); ++i) {
+    if (i != 0) out += ',';
+    MAYWSD_RETURN_IF_ERROR(AppendWireValue(tuple[i], out));
   }
   return Status::Ok();
 }
 
 /// <rel> <attr,attr,...> [<v,v,...> ...] — the register/insert shape.
-Status FormatRelation(const rel::Relation& r, std::ostringstream& os) {
-  os << r.name();
+Status FormatRelation(const rel::Relation& r, std::string& out) {
+  out += r.name();
   if (r.arity() == 0) {
     return Status::InvalidArgument("relation without attributes: " + r.name());
   }
-  os << " ";
   for (size_t a = 0; a < r.arity(); ++a) {
-    os << (a == 0 ? "" : ",") << r.schema().attr(a).name_view();
+    Append(out, a == 0 ? ' ' : ',', r.schema().attr(a).name_view());
   }
-  return FormatRows(r, os);
-}
-
-/// <attr> <op> <value> of a simple comparison predicate.
-Status FormatCmpPredicate(const rel::Predicate& p, std::ostringstream& os) {
-  if (p.kind() != rel::Predicate::Kind::kCmpConst) {
-    return Status::InvalidArgument("predicate beyond the wire grammar");
+  for (size_t i = 0; i < r.NumRows(); ++i) {
+    out += ' ';
+    MAYWSD_RETURN_IF_ERROR(AppendWireTuple(r.row(i).span(), out));
   }
-  MAYWSD_ASSIGN_OR_RETURN(std::string tok, FormatValue(p.constant()));
-  os << p.lhs_attr() << " " << FormatCmpOp(p.op()) << " " << tok;
   return Status::Ok();
 }
 
+/// <attr> <op> <value> of a simple comparison predicate.
+Status FormatCmpPredicate(const rel::Predicate& p, std::string& out) {
+  if (p.kind() != rel::Predicate::Kind::kCmpConst) {
+    return Status::InvalidArgument("predicate beyond the wire grammar");
+  }
+  Append(out, p.lhs_attr(), ' ', FormatCmpOp(p.op()), ' ');
+  return AppendWireValue(p.constant(), out);
+}
+
 /// scan/select/project over a scan — the single-operator plan fragment.
-Status FormatPlan(const rel::Plan& plan, std::ostringstream& os) {
+Status FormatPlan(const rel::Plan& plan, std::string& out) {
   switch (plan.kind()) {
     case rel::Plan::Kind::kScan:
-      os << "scan " << plan.relation();
+      Append(out, "scan ", plan.relation());
       return Status::Ok();
     case rel::Plan::Kind::kSelect: {
       if (plan.child().kind() != rel::Plan::Kind::kScan) break;
-      os << "select " << plan.child().relation() << " ";
-      return FormatCmpPredicate(plan.predicate(), os);
+      Append(out, "select ", plan.child().relation(), ' ');
+      return FormatCmpPredicate(plan.predicate(), out);
     }
     case rel::Plan::Kind::kProject: {
       if (plan.child().kind() != rel::Plan::Kind::kScan) break;
-      os << "project " << plan.child().relation() << " ";
+      Append(out, "project ", plan.child().relation());
       const std::vector<std::string>& attrs = plan.attributes();
       for (size_t a = 0; a < attrs.size(); ++a) {
-        os << (a == 0 ? "" : ",") << attrs[a];
+        Append(out, a == 0 ? ' ' : ',', attrs[a]);
       }
       return Status::Ok();
     }
@@ -368,34 +418,35 @@ Status FormatPlan(const rel::Plan& plan, std::ostringstream& os) {
   return Status::InvalidArgument("plan beyond the wire grammar");
 }
 
-Status FormatUpdate(const rel::UpdateOp& update, std::ostringstream& os) {
+Status FormatUpdate(const rel::UpdateOp& update, std::string& out) {
   if (update.has_world_condition()) {
     return Status::InvalidArgument("world conditions have no wire syntax");
   }
   switch (update.kind()) {
     case rel::UpdateOp::Kind::kInsert: {
-      os << "insert ";
+      out += "insert ";
       const rel::Relation& rows = update.tuples();
       if (rows.empty()) {
         return Status::InvalidArgument("insert without rows: " +
                                        update.relation());
       }
-      return FormatRelation(rows, os);
+      return FormatRelation(rows, out);
     }
     case rel::UpdateOp::Kind::kDelete:
-      os << "delete " << update.relation() << " ";
-      return FormatCmpPredicate(update.predicate(), os);
+      Append(out, "delete ", update.relation(), ' ');
+      return FormatCmpPredicate(update.predicate(), out);
     case rel::UpdateOp::Kind::kModify: {
-      os << "modify " << update.relation() << " ";
-      MAYWSD_RETURN_IF_ERROR(FormatCmpPredicate(update.predicate(), os));
-      os << " set ";
+      Append(out, "modify ", update.relation(), ' ');
+      MAYWSD_RETURN_IF_ERROR(FormatCmpPredicate(update.predicate(), out));
+      out += " set ";
       const std::vector<rel::Assignment>& as = update.assignments();
       if (as.empty()) {
         return Status::InvalidArgument("modify without assignments");
       }
       for (size_t i = 0; i < as.size(); ++i) {
-        MAYWSD_ASSIGN_OR_RETURN(std::string tok, FormatValue(as[i].value));
-        os << (i == 0 ? "" : ",") << as[i].attr << "=" << tok;
+        if (i != 0) out += ',';
+        Append(out, as[i].attr, '=');
+        MAYWSD_RETURN_IF_ERROR(AppendWireValue(as[i].value, out));
       }
       return Status::Ok();
     }
@@ -406,89 +457,95 @@ Status FormatUpdate(const rel::UpdateOp& update, std::ostringstream& os) {
 }  // namespace
 
 Result<std::string> FormatRequest(const Request& request) {
-  std::ostringstream os;
+  std::string out;
   switch (request.kind) {
     case Request::Kind::kListSessions:
       return std::string("sessions");
     case Request::Kind::kOpenSession:
-      os << "open " << request.session << " "
-         << api::BackendKindName(request.backend);
-      return os.str();
+      Append(out, "open ", request.session, ' ',
+             api::BackendKindName(request.backend));
+      return out;
     case Request::Kind::kCloseSession:
-      os << "close " << request.session;
-      return os.str();
+      Append(out, "close ", request.session);
+      return out;
     case Request::Kind::kRegister: {
       if (!request.relation.has_value()) {
         return Status::InvalidArgument("register without relation");
       }
-      os << "register " << request.session << " ";
-      MAYWSD_RETURN_IF_ERROR(FormatRelation(*request.relation, os));
-      return os.str();
+      Append(out, "register ", request.session, ' ');
+      MAYWSD_RETURN_IF_ERROR(FormatRelation(*request.relation, out));
+      return out;
     }
     case Request::Kind::kRun: {
       if (!request.plan.has_value()) {
         return Status::InvalidArgument("run without plan");
       }
-      os << "run " << request.session << " " << request.target << " ";
-      MAYWSD_RETURN_IF_ERROR(FormatPlan(*request.plan, os));
-      return os.str();
+      Append(out, "run ", request.session, ' ', request.target, ' ');
+      MAYWSD_RETURN_IF_ERROR(FormatPlan(*request.plan, out));
+      return out;
     }
     case Request::Kind::kApply: {
       if (!request.update.has_value()) {
         return Status::InvalidArgument("apply without update");
       }
-      os << "apply " << request.session << " ";
-      MAYWSD_RETURN_IF_ERROR(FormatUpdate(*request.update, os));
-      return os.str();
+      Append(out, "apply ", request.session, ' ');
+      MAYWSD_RETURN_IF_ERROR(FormatUpdate(*request.update, out));
+      return out;
     }
     case Request::Kind::kPossible:
-      os << "possible " << request.session << " " << request.target;
-      return os.str();
+      Append(out, "possible ", request.session, ' ', request.target);
+      return out;
     case Request::Kind::kCertain:
-      os << "certain " << request.session << " " << request.target;
-      return os.str();
+      Append(out, "certain ", request.session, ' ', request.target);
+      return out;
     case Request::Kind::kSnapshotRead:
-      os << "read " << request.session << " " << request.target;
-      return os.str();
+      Append(out, "read ", request.session, ' ', request.target);
+      return out;
     case Request::Kind::kConfidence: {
-      os << "conf " << request.session << " " << request.target << " ";
       if (request.tuple.empty()) {
         return Status::InvalidArgument("conf without tuple");
       }
-      for (size_t i = 0; i < request.tuple.size(); ++i) {
-        MAYWSD_ASSIGN_OR_RETURN(std::string tok,
-                                FormatValue(request.tuple[i]));
-        os << (i == 0 ? "" : ",") << tok;
-      }
-      return os.str();
+      Append(out, "conf ", request.session, ' ', request.target, ' ');
+      MAYWSD_RETURN_IF_ERROR(AppendWireTuple(request.tuple, out));
+      return out;
     }
     case Request::Kind::kStats:
-      os << "stats " << request.session;
-      return os.str();
+      Append(out, "stats ", request.session);
+      return out;
   }
   return Status::InvalidArgument("unknown request kind");
 }
 
+/// Expected text of one answer cell plus its comma: census answers are
+/// mostly one- and two-digit codes (2.2 chars a cell on serve_mixed's
+/// rows). Wider answers outgrow the reservation a few times, each growth
+/// doubling the buffer.
+constexpr size_t kCellCharsEstimate = 3;
+
 std::string FormatResponse(const Response& response) {
   if (!response.status.ok()) return "ERR " + response.status.ToString();
-  std::ostringstream os;
-  os << "OK";
+  std::string out = "OK";
   if (response.relation.has_value()) {
     const rel::Relation& r = *response.relation;
-    os << " " << r.NumRows() << " rows";
-    for (size_t i = 0; i < r.NumRows(); ++i) {
-      os << "\n";
-      const auto row = r.row(i).span();
-      for (size_t c = 0; c < row.size(); ++c) {
-        os << (c == 0 ? "" : ",") << row[c].ToString();
+    const size_t rows = r.NumRows();
+    const size_t arity = r.arity();
+    out.reserve(16 + rows * (1 + arity * kCellCharsEstimate));
+    Append(out, ' ', std::to_string(rows), " rows");
+    const rel::Value* cell = r.data().data();
+    for (size_t i = 0; i < rows; ++i) {
+      out += '\n';
+      for (size_t c = 0; c < arity; ++c, ++cell) {
+        if (c != 0) out += ',';
+        cell->AppendTo(out);
       }
     }
   } else if (response.number.has_value()) {
-    os << " " << *response.number;
+    out += ' ';
+    rel::Value::Double(*response.number).AppendTo(out);
   } else if (!response.text.empty()) {
-    os << " " << response.text;
+    Append(out, ' ', response.text);
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace maywsd::server

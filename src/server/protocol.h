@@ -22,6 +22,21 @@
 //
 // The grammar covers the single-operator plans a REPL needs; programs
 // drive WorldServer::Execute directly with arbitrary rel::Plans.
+//
+// Tokens split on runs of the whitespace `operator>>` skips in the C
+// locale (space, \t, \n, \v, \f, \r). Request values are unquoted: a
+// string value cannot contain whitespace or commas, cannot be empty, and
+// cannot spell an integer (strtoll's grammar: optional sign, digits).
+//
+// Responses (FormatResponse):
+//   OK [<text>]                  acknowledgments, lists, stats
+//   OK <number>                  conf: a double as printf's "%.6g"
+//   OK <n> rows                  a relation, then one line per row:
+//   <v>,<v>,...                    cells comma-joined, no trailing newline
+//   ERR <code>: <message>        any failure
+// Answer cells spell as Value::AppendTo writes them: ints in decimal,
+// strings single-quoted ('x'), ⊥ as U+22A5 (UTF-8), ? as itself, doubles
+// as "%.6g" (0.1, 1e-05, 1e+21).
 
 #ifndef MAYWSD_SERVER_PROTOCOL_H_
 #define MAYWSD_SERVER_PROTOCOL_H_
@@ -48,7 +63,8 @@ Result<std::string> FormatRequest(const Request& request);
 
 /// Renders a Response for the wire: "OK" / "OK <payload>" on one or more
 /// lines (relations print one row per line), "ERR <code>: <message>" on
-/// failure.
+/// failure. The whole answer is written into one string, reserved from
+/// the relation's row count and arity.
 std::string FormatResponse(const Response& response);
 
 }  // namespace maywsd::server

@@ -30,6 +30,7 @@
 
 #include "api/session.h"
 #include "belief/belief.h"
+#include "common/interner.h"
 #include "core/component_store.h"
 #include "rel/update.h"
 #include "tests/test_util.h"
@@ -334,6 +335,42 @@ TEST(BeliefKnowledge, ConditioningArithmeticIsExact) {
     EXPECT_TRUE(agent.Knows("R", two).value());
     EXPECT_FALSE(agent.ConsidersPossible("R", one).value());
     EXPECT_FALSE(agent.Confidence("R", one).ok());
+  }
+}
+
+/// A long-lived agent re-materializes its witness relations after every
+/// observation; each stale witness hands its name to its successor, so
+/// the interned-string pool stays flat however many rounds are played,
+/// and the answers are those of the first rounds.
+TEST(BeliefKnowledge, RematerializedWitnessesReuseTheirNames) {
+  const Value one[] = {I(1)};
+  const Value two[] = {I(2)};
+  const Plan saw_one =
+      Plan::Select(Predicate::Cmp("A", CmpOp::kEq, I(1)), Plan::Scan("R"));
+  for (BackendKind kind : testutil::AllBackendKinds()) {
+    SCOPED_TRACE(BackendKindName(kind));
+    auto session = OpenOver(kind, ThreeWorldDeal());
+    ASSERT_TRUE(session.ok());
+    auto agent_or = Agent::Make("a", std::move(session).value());
+    ASSERT_TRUE(agent_or.ok());
+    Agent agent = std::move(agent_or).value();
+    EXPECT_FALSE(agent.Knows("R", one).value());  // w3 lacks (1)
+
+    size_t warm_pool = 0;
+    const uint64_t misses_before = agent.Stats().knowledge_cache_misses;
+    constexpr int kWarmup = 3;
+    constexpr int kRounds = 40;
+    for (int round = 0; round < kRounds; ++round) {
+      if (round == kWarmup) warm_pool = StringInterner::Global().size();
+      // Every Observe bumps the alive marker's version, so every Knows
+      // below re-materializes its witness.
+      ASSERT_TRUE(agent.Observe(saw_one).ok());
+      EXPECT_TRUE(agent.Knows("R", one).value()) << "round " << round;
+      EXPECT_FALSE(agent.Knows("R", two).value()) << "round " << round;
+    }
+    EXPECT_EQ(StringInterner::Global().size(), warm_pool);
+    EXPECT_GE(agent.Stats().knowledge_cache_misses - misses_before,
+              static_cast<uint64_t>(kRounds));
   }
 }
 

@@ -15,7 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -460,6 +465,181 @@ TEST(ProtocolTest, FormatsResponses) {
   EXPECT_EQ(FormatResponse(ack), "OK opened s");
 
   EXPECT_EQ(FormatResponse(Response{}), "OK");
+
+  // Every value spelling an answer can carry, row by row.
+  rel::Relation mixed(rel::Schema::FromNames({"a", "b", "c"}), "M");
+  mixed.AppendRow({I(std::numeric_limits<int64_t>::min()),
+                   I(std::numeric_limits<int64_t>::max()), I(-42)});
+  mixed.AppendRow({Value::String("it's, x"), Value::Bottom(),
+                   Value::Question()});
+  mixed.AppendRow({Value::Double(0.1), Value::Double(1e-05),
+                   Value::Double(1e+21)});
+  mixed.AppendRow({Value::Double(-2.5), I(0), Value::String("")});
+  Response all;
+  all.relation = mixed;
+  EXPECT_EQ(FormatResponse(all),
+            "OK 4 rows\n"
+            "-9223372036854775808,9223372036854775807,-42\n"
+            "'it's, x',\xe2\x8a\xa5,?\n"
+            "0.1,1e-05,1e+21\n"
+            "-2.5,0,''");
+
+  Response none;
+  none.relation = rel::Relation(rel::Schema::FromNames({"a", "b"}), "E");
+  EXPECT_EQ(FormatResponse(none), "OK 0 rows");
+
+  number.number = 1.0 / 3;
+  EXPECT_EQ(FormatResponse(number), "OK 0.333333");
+  number.number = 1e-05;
+  EXPECT_EQ(FormatResponse(number), "OK 1e-05");
+  number.number = 1.0;
+  EXPECT_EQ(FormatResponse(number), "OK 1");
+}
+
+/// A cell as the stream-based formatter spelled it: std::to_string for
+/// ints, default `std::ostream << double` for doubles, quoted strings.
+std::string StreamCell(const Value& v) {
+  switch (v.kind()) {
+    case rel::ValueKind::kBottom:
+      return "\xe2\x8a\xa5";
+    case rel::ValueKind::kQuestion:
+      return "?";
+    case rel::ValueKind::kInt:
+      return std::to_string(v.AsInt());
+    case rel::ValueKind::kDouble: {
+      std::ostringstream os;
+      os << v.AsDouble();
+      return os.str();
+    }
+    case rel::ValueKind::kString:
+      return "'" + std::string(v.AsStringView()) + "'";
+  }
+  return "<invalid>";
+}
+
+/// The stream-based response formatter, kept as the reference text.
+std::string StreamFormat(const rel::Relation& r) {
+  std::ostringstream os;
+  os << "OK";
+  os << " " << r.NumRows() << " rows";
+  for (size_t i = 0; i < r.NumRows(); ++i) {
+    os << "\n";
+    const auto row = r.row(i).span();
+    for (size_t c = 0; c < row.size(); ++c) {
+      os << (c == 0 ? "" : ",") << StreamCell(row[c]);
+    }
+  }
+  return os.str();
+}
+
+Value RandomCell(testutil::SeededRng& rng) {
+  switch (rng.Uniform(6)) {
+    case 0:
+      return I(rng.UniformInt(-1000, 100000));
+    case 1:
+      return I(static_cast<int64_t>(rng.Next()));
+    case 2: {
+      const char* words[] = {"", "x", "it's", "a,b", "zed-9", "\xe2\x8a\xa5",
+                             "two words"};
+      return Value::String(words[rng.Uniform(std::size(words))]);
+    }
+    case 3:
+      return rng.Bernoulli(0.5) ? Value::Bottom() : Value::Question();
+    default: {
+      // Mantissas over thirty decades, plus the values %.6g rounds across
+      // a power of ten, integral doubles, signed zeros and infinities.
+      const double specials[] = {0.0,     -0.0,     1.0,     -3.0,
+                                 999999.5, 9999995., 0.0001,  0.00001,
+                                 1e+21,   -2.5,     1.0 / 3, 123456789.0,
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+      if (rng.Bernoulli(0.3)) {
+        return Value::Double(specials[rng.Uniform(std::size(specials))]);
+      }
+      const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+      const double exponent = static_cast<double>(rng.UniformInt(-12, 18));
+      return Value::Double(sign * rng.NextDouble() * std::pow(10.0, exponent));
+    }
+  }
+}
+
+// FormatResponse writes the same bytes the stream formatter did, over
+// random relations of every value kind.
+TEST(ProtocolTest, FormatResponseMatchesStreamFormatting) {
+  testutil::SeededRng rng(19190);
+  MAYWSD_SEED_TRACE(rng);
+  for (int i = 0; i < 200; ++i) {
+    const size_t arity = 1 + rng.Uniform(6);
+    std::vector<std::string> names;
+    for (size_t a = 0; a < arity; ++a) names.push_back("c" + std::to_string(a));
+    rel::Relation r(rel::Schema::FromNames(names), "R");
+    const size_t rows = rng.Uniform(25);
+    std::vector<Value> row(arity);
+    for (size_t k = 0; k < rows; ++k) {
+      for (Value& v : row) v = RandomCell(rng);
+      r.AppendRow(row);
+    }
+    SCOPED_TRACE(i);
+    Response response;
+    response.relation = r;
+    EXPECT_EQ(FormatResponse(response), StreamFormat(r));
+  }
+}
+
+// Any mix of the whitespace characters `operator>>` skips separates
+// tokens, leading and trailing runs included.
+TEST(ProtocolTest, ParsesMixedWhitespaceSeparators) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"run\ts\vQ\fselect  R\r a >=\t\v2", "run s Q select R a >= 2"},
+      {" \f register\vs\tR a,b\f1,2\v3,x\r\n", "register s R a,b 1,2 3,x"},
+      {"\tapply s\v\fdelete R a = 1\r", "apply s delete R a = 1"},
+      {"conf\f\fs\vR\t1,2", "conf s R 1,2"},
+  };
+  for (const auto& [line, canonical] : cases) {
+    SCOPED_TRACE(canonical);
+    auto request = ParseRequest(line);
+    ASSERT_TRUE(request.ok()) << request.status().message();
+    auto formatted = FormatRequest(*request);
+    ASSERT_TRUE(formatted.ok()) << formatted.status().message();
+    EXPECT_EQ(*formatted, canonical);
+  }
+  EXPECT_FALSE(ParseRequest(" \t\v\f\r\n").ok());
+}
+
+// Integer tokens follow strtoll's decimal grammar: an optional sign, then
+// digits, clamped to the int64 range; everything else is a string.
+TEST(ProtocolTest, ParsesIntegerTokensLikeStrtoll) {
+  auto conf = ParseRequest(
+      "conf s R +5,-0,007,99999999999999999999,-99999999999999999999,+-5,-,"
+      "+,1x,0x10");
+  ASSERT_TRUE(conf.ok()) << conf.status().message();
+  const std::vector<Value> want = {
+      I(5),
+      I(0),
+      I(7),
+      I(std::numeric_limits<int64_t>::max()),
+      I(std::numeric_limits<int64_t>::min()),
+      Value::String("+-5"),
+      Value::String("-"),
+      Value::String("+"),
+      Value::String("1x"),
+      Value::String("0x10")};
+  ASSERT_EQ(conf->tuple.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(conf->tuple[i], want[i]) << i;
+    EXPECT_EQ(conf->tuple[i].kind(), want[i].kind()) << i;
+  }
+
+  // A string that would re-tokenize or re-parse as an integer has no
+  // wire spelling.
+  for (const char* bad : {"a\vb", "a\fb", "a,b", "+5", "-12"}) {
+    Request request;
+    request.kind = Request::Kind::kConfidence;
+    request.session = "s";
+    request.target = "R";
+    request.tuple = {Value::String(bad)};
+    EXPECT_FALSE(FormatRequest(request).ok()) << bad;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 
 namespace maywsd::rel {
@@ -106,6 +109,36 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::String("x").ToString(), "'x'");
   EXPECT_EQ(Value::Question().ToString(), "?");
   EXPECT_EQ(Value::Bottom().ToString(), "\xe2\x8a\xa5");
+}
+
+TEST(ValueTest, AppendToMatchesToString) {
+  const Value values[] = {
+      Value::Bottom(),          Value::Question(),
+      Value::Int(0),            Value::Int(-7),
+      Value::Int(INT64_MIN),    Value::Int(INT64_MAX),
+      Value::String(""),        Value::String("it's"),
+      Value::Double(0.1),       Value::Double(1e-05),
+      Value::Double(1e+21),     Value::Double(-2.5),
+      Value::Double(3.0),       Value::Double(999999.5),
+      Value::Double(1.0 / 3.0), Value::Double(-0.0)};
+  for (const Value& v : values) {
+    std::string out = "head,";
+    v.AppendTo(out);
+    EXPECT_EQ(out, "head," + v.ToString());
+    if (v.is_double()) {
+      // Doubles keep the default `std::ostream << double` text (%.6g).
+      std::ostringstream os;
+      os << v.AsDouble();
+      EXPECT_EQ(v.ToString(), os.str());
+    }
+  }
+  // Both sides of the two-digit fast path, and far past it.
+  for (int64_t i = -1000; i <= 1000; ++i) {
+    EXPECT_EQ(Value::Int(i).ToString(), std::to_string(i));
+  }
+  EXPECT_EQ(Value::Int(INT64_MIN).ToString(), "-9223372036854775808");
+  EXPECT_EQ(Value::Double(999999.5).ToString(), "1e+06");
+  EXPECT_EQ(Value::Double(1e-05).ToString(), "1e-05");
 }
 
 TEST(ValueTest, ValueIs16Bytes) {
