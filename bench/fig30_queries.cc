@@ -23,7 +23,6 @@
 // Usage: fig30_queries [--json PATH] — also writes the measurements as a
 // flat JSON document (consumed by CI as BENCH_fig30_queries.json).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -43,15 +42,10 @@ struct Sample {
   const char* backend = "wsdt";
   double seconds = 0.0;
   size_t result_rows = 0;
-  int threads = 1;  // Session fan-out width (1 = sequential)
   // Import → template-semantics → export round trips the backend paid for
   // the run (Session::Stats): 0 on representation-native paths — the
   // U-relations claim is that positive RA stays at 0.
   uint64_t round_trips = 0;
-  // Runs that fanned out across workers (Session::Stats): 0 for every
-  // census query, since none scans a second relation (the engine's
-  // single-leaf cost rule); the parallel section exits non-zero otherwise.
-  uint64_t sharded_runs = 0;
 };
 
 void WriteJson(const char* path, const std::vector<Sample>& samples) {
@@ -66,12 +60,10 @@ void WriteJson(const char* path, const std::vector<Sample>& samples) {
     std::fprintf(f,
                  "    {\"query\": %d, \"rows\": %zu, \"density\": %g, "
                  "\"backend\": \"%s\", \"seconds\": %.6f, "
-                 "\"result_rows\": %zu, \"threads\": %d, "
-                 "\"round_trips\": %llu, \"sharded_runs\": %llu}%s\n",
+                 "\"result_rows\": %zu, \"round_trips\": %llu}%s\n",
                  s.query, s.rows, s.density, s.backend, s.seconds,
-                 s.result_rows, s.threads,
+                 s.result_rows,
                  static_cast<unsigned long long>(s.round_trips),
-                 static_cast<unsigned long long>(s.sharded_runs),
                  i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -199,8 +191,8 @@ int main(int argc, char** argv) {
         auto out = session.PossibleTuples("OUT");
         if (!out.ok()) return 1;
         n = out->NumRows();
-        samples.push_back({q, rows, kXDensity, backend, secs[backend], n, 1,
-                           trips[backend]});
+        samples.push_back(
+            {q, rows, kXDensity, backend, secs[backend], n, trips[backend]});
       }
       std::printf("%10zu %6d %12.4f %12.4f %12.4f %12.4f %8llu %8llu\n",
                   rows, q, secs["wsd"], secs["wsdt"], secs["uniform"],
@@ -210,80 +202,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\n");
-
-  // Parallel fan-out: the same queries through Session with a sharded
-  // worker pool (threads ∈ {1, 2, 4}). No census query fans out on any
-  // backend: Q1–Q4 and Q6 scan R alone, and the engine's cost rule
-  // declines single-leaf plans (a unary chain is one bandwidth-bound pass
-  // — slicing the relation first can only lose); Q5 scans R twice, so no
-  // slice distributes over it. The t≥2 columns therefore measure the
-  // sequential path and must match t=1 instead of regressing behind
-  // slice-construction cost. The harness gates that structurally: any
-  // sample reporting a sharded run fails it.
-  {
-    const double kPDensity = 0.001;
-    std::printf(
-        "# Parallel fan-out: Session threads dimension (density %s)\n",
-        bench::DensityLabel(kPDensity));
-    std::printf("%10s %8s %6s %12s %12s %12s %10s\n", "tuples", "backend",
-                "query", "t=1", "t=2", "t=4", "x(t=4)");
-    struct Cell {
-      const char* backend;
-      size_t rows;
-    };
-    size_t wsdt_rows = sizes.back();
-    size_t uniform_rows = std::min<size_t>(sizes.back(), 8000);
-    for (Cell cell : {Cell{"wsdt", wsdt_rows}, Cell{"uniform", uniform_rows},
-                      Cell{"urel", wsdt_rows}}) {
-      rel::Relation base = census::GenerateCensus(
-          schema, cell.rows, /*seed=*/0xC0FFEE ^ cell.rows);
-      auto wsdt_or = census::MakeNoisyWsdt(base, schema, kPDensity,
-                                           /*seed=*/0xBEEF ^ cell.rows);
-      if (!wsdt_or.ok()) return 1;
-      core::Wsdt wsdt = std::move(wsdt_or).value();
-      bench::ChaseCensus(wsdt);
-      for (int q = 1; q <= 6; ++q) {
-        std::map<int, double> per_thread;
-        for (int t : {1, 2, 4}) {
-          api::SessionOptions options;
-          options.threads = t;
-          auto kind_or = api::ParseBackendKind(cell.backend);
-          if (!kind_or.ok()) return 1;
-          auto session_or = api::Session::Open(*kind_or, wsdt, options);
-          if (!session_or.ok()) return 1;
-          api::Session session = std::move(session_or).value();
-          Timer timer;  // conversion cost excluded from every column
-          Status st = session.Run(census::CensusQuery(q, "R"), "OUT");
-          if (!st.ok()) {
-            std::fprintf(stderr, "parallel %s Q%d (t=%d) failed: %s\n",
-                         cell.backend, q, t, st.ToString().c_str());
-            return 1;
-          }
-          double secs = timer.Seconds();
-          size_t n = 0;
-          if (auto out = session.PossibleTuples("OUT"); out.ok()) {
-            n = out->NumRows();
-          }
-          per_thread[t] = secs;
-          if (session.Stats().sharded_runs != 0) {
-            std::fprintf(stderr,
-                         "parallel %s Q%d (t=%d) fanned out; single-leaf "
-                         "census queries must run sequentially\n",
-                         cell.backend, q, t);
-            return 1;
-          }
-          samples.push_back({q, cell.rows, kPDensity, cell.backend, secs, n,
-                             t, session.Stats().round_trips,
-                             session.Stats().sharded_runs});
-        }
-        std::printf("%10zu %8s %6d %12.4f %12.4f %12.4f %9.2fx\n", cell.rows,
-                    cell.backend, q, per_thread[1], per_thread[2],
-                    per_thread[4],
-                    per_thread[4] > 0 ? per_thread[1] / per_thread[4] : 0.0);
-      }
-    }
-    std::printf("\n");
-  }
 
   if (json_path != nullptr) WriteJson(json_path, samples);
   return 0;

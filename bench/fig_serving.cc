@@ -1,5 +1,5 @@
 // Serving under concurrency: MVCC snapshot reads vs a live writer, and
-// the sharded unconditional-update fan-out, across all four backends.
+// batch update throughput, across all four backends.
 //
 // The paper's prototype served world-set relations from PostgreSQL — many
 // clients, one store. This harness measures the serving properties of the
@@ -13,14 +13,8 @@
 //     records the snapshots' blocked-on-writer wait count (structurally
 //     0) and CI asserts it. The acceptance gate: mixed read p99 within
 //     2x of the read-only p99.
-//   - apply_seq / apply_sharded: the same unconditional update batch
-//     through ApplyAll at threads=1 vs threads=4. The run of consecutive
-//     updates is sliced ONCE, every slice applies the whole run on the
-//     pool, and slices stream back in shard order — the slice copy
-//     amortizes over the run, so the fan-out wins once real cores back
-//     the pool. The JSON records hardware_concurrency: on a single-core
-//     host the sharded sample can only show the slicing overhead, and
-//     the speedup comparison is meaningful only at hw >= 4.
+//   - apply_seq: an unconditional update batch of 16 modifies and deletes
+//     through one ApplyAll.
 //   - server_batch: WorldServer::ExecuteAll throughput over one session
 //     per backend under a mixed snapshot-read/update request batch.
 //   - snapshot_pin: Snapshot() pin+teardown latency at three FIXED data
@@ -71,7 +65,6 @@ struct Sample {
   double p99_ms = 0.0;
   double throughput = 0.0;       // ops/second
   uint64_t blocked_waits = 0;    // snapshot reads that waited on a writer
-  uint64_t sharded_applies = 0;  // updates that took the sharded path
 };
 
 void WriteJson(const char* path, const std::vector<Sample>& samples) {
@@ -91,13 +84,12 @@ void WriteJson(const char* path, const std::vector<Sample>& samples) {
         "    {\"phase\": \"%s\", \"backend\": \"%s\", \"threads\": %d, "
         "\"rows\": %zu, "
         "\"ops\": %zu, \"seconds\": %.6f, \"p50_ms\": %.4f, "
-        "\"p99_ms\": %.4f, \"throughput\": %.1f, \"blocked_waits\": %llu, "
-        "\"sharded_applies\": %llu}%s\n",
+        "\"p99_ms\": %.4f, \"throughput\": %.1f, "
+        "\"blocked_waits\": %llu}%s\n",
         s.phase.c_str(), s.backend, s.threads, s.rows, s.ops, s.seconds,
         s.p50_ms,
         s.p99_ms, s.throughput,
         static_cast<unsigned long long>(s.blocked_waits),
-        static_cast<unsigned long long>(s.sharded_applies),
         i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -186,9 +178,8 @@ Sample ReadPhase(const api::Session& session, api::Session& writable,
   return s;
 }
 
-/// The unconditional update batch both apply phases run: one long run of
-/// same-relation modifies and narrow deletes, so the sharded path slices
-/// once and amortizes the copy across all 16 ops.
+/// The unconditional update batch of the apply phase: 16 same-relation
+/// modifies and narrow deletes.
 std::vector<UpdateOp> ApplyBatch() {
   std::vector<UpdateOp> ops;
   for (int k = 0; k < 16; ++k) {
@@ -205,9 +196,8 @@ std::vector<UpdateOp> ApplyBatch() {
 }
 
 Sample ApplyPhase(const core::Wsdt& wsdt, api::BackendKind kind,
-                  const char* backend, int threads) {
-  auto session_or =
-      api::Session::Open(kind, wsdt, {.threads = threads, .cache = true});
+                  const char* backend) {
+  auto session_or = api::Session::Open(kind, wsdt);
   if (!session_or.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  session_or.status().ToString().c_str());
@@ -223,13 +213,11 @@ Sample ApplyPhase(const core::Wsdt& wsdt, api::BackendKind kind,
     std::exit(1);
   }
   Sample s;
-  s.phase = threads > 1 ? "apply_sharded" : "apply_seq";
+  s.phase = "apply_seq";
   s.backend = backend;
-  s.threads = threads;
   s.ops = batch.size();
   s.seconds = seconds;
   s.throughput = static_cast<double>(s.ops) / seconds;
-  s.sharded_applies = session.Stats().sharded_applies;
   return s;
 }
 
@@ -373,13 +361,10 @@ int main(int argc, char** argv) {
       samples.push_back(std::move(s));
     }
 
-    for (int threads : {1, 4}) {
-      Sample s = ApplyPhase(apply_wsdt, kind, backend, threads);
-      std::printf("%-13s %-8s threads=%d ops=%zu %.3fs sharded=%llu\n",
-                  s.phase.c_str(), backend, threads, s.ops, s.seconds,
-                  static_cast<unsigned long long>(s.sharded_applies));
-      samples.push_back(std::move(s));
-    }
+    Sample s = ApplyPhase(apply_wsdt, kind, backend);
+    std::printf("%-13s %-8s ops=%zu %.3fs\n", s.phase.c_str(), backend, s.ops,
+                s.seconds);
+    samples.push_back(std::move(s));
   }
 
   // snapshot_pin: fixed scales so the flatness gate means the same thing

@@ -108,33 +108,29 @@ int main() {
               "(positive RA is a pure descriptor rewriting)\n",
               static_cast<unsigned long long>(sessions[3].Stats().round_trips));
 
-  // Parallel + batched execution through the same front door: a session
-  // with a worker pool shards Run across independent tuple groups, and
-  // RunAll evaluates a workload sharing common subplans once.
+  // Batched execution through the same front door: RunAll evaluates a
+  // workload sharing common subplans once.
   {
     core::Wsdt fresh = core::Wsdt::FromWsd(forms.ToWsd().value()).value();
-    api::Session parallel =
-        api::Session::Open(std::move(fresh), {.threads = 4, .cache = true});
+    api::Session batched = api::Session::Open(std::move(fresh));
     Plan base = Plan::Project({"S", "M"}, Plan::Scan("R"));
     std::vector<Plan> workload = {
         Plan::Select(Predicate::Cmp("M", CmpOp::kLe, Value::Int(2)), base),
         Plan::Select(Predicate::Cmp("M", CmpOp::kGt, Value::Int(2)), base)};
     std::vector<std::string> outs = {"MARRIED", "OTHER"};
-    if (Status st = parallel.RunAll(workload, outs); !st.ok()) {
+    if (Status st = batched.RunAll(workload, outs); !st.ok()) {
       std::printf("RunAll failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    if (Status st = parallel.Run(plan, "OUT"); !st.ok()) {
-      std::printf("parallel Run failed: %s\n", st.ToString().c_str());
+    if (Status st = batched.Run(plan, "OUT"); !st.ok()) {
+      std::printf("Run failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    const api::SessionStats& stats = parallel.Stats();
+    const api::SessionStats& stats = batched.Stats();
     std::printf(
-        "\nparallel session: %llu run(s), %llu sharded (%llu shards), "
-        "RunAll cache %llu hit(s) / %llu miss(es)\n",
+        "\nbatched session: %llu run(s), RunAll cache %llu hit(s) / %llu "
+        "miss(es)\n",
         static_cast<unsigned long long>(stats.runs),
-        static_cast<unsigned long long>(stats.sharded_runs),
-        static_cast<unsigned long long>(stats.shards_executed),
         static_cast<unsigned long long>(stats.cache_hits),
         static_cast<unsigned long long>(stats.cache_misses));
   }

@@ -6,12 +6,10 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <variant>
 
-#include "core/engine/parallel.h"
 #include "core/engine/plan_driver.h"
 #include "core/engine/uniform_backend.h"
 #include "core/engine/update_plan.h"
@@ -121,20 +119,6 @@ struct Session::Rep {
     answers.clear();
   }
 };
-
-namespace {
-
-/// Resolves the option value to a worker count (0 = hardware concurrency).
-size_t ResolveThreads(int threads) {
-  if (threads > 1) return static_cast<size_t>(threads);
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-  }
-  return 1;
-}
-
-}  // namespace
 
 Session::Session(std::shared_ptr<Rep> rep) : rep_(std::move(rep)) {}
 Session::~Session() = default;
@@ -274,16 +258,7 @@ Status Session::Run(const rel::Plan& plan, const std::string& out) {
   std::unique_lock<std::shared_mutex> write(rep_->state_mu);
   rep_->stats.runs++;
   rep_->Invalidate(out);
-  core::engine::ParallelStats ps;
-  Status st = core::engine::EvaluateParallel(
-      *rep_->backend, plan, out, ResolveThreads(rep_->options.threads), &ps);
-  if (ps.sharded) {
-    rep_->stats.sharded_runs++;
-    rep_->stats.shards_executed += ps.shards;
-  } else if (ResolveThreads(rep_->options.threads) > 1) {
-    rep_->stats.fallback_runs++;
-  }
-  return st;
+  return core::engine::Evaluate(*rep_->backend, plan, out);
 }
 
 Status Session::RunOptimized(const rel::Plan& plan, const std::string& out) {
@@ -329,14 +304,11 @@ Status Session::ApplyAll(std::span<const rel::UpdateOp> ops) {
   rep_->stats.applies += ops.size();
   for (const rel::UpdateOp& op : ops) rep_->Invalidate(op.relation());
   core::engine::UpdateBatchStats ubs;
-  Status st = core::engine::ApplyUpdates(
-      *rep_->backend, ops, ResolveThreads(rep_->options.threads), &ubs);
+  Status st = core::engine::ApplyUpdates(*rep_->backend, ops, &ubs);
   {
     std::lock_guard<std::mutex> lock(rep_->cache_mu);
     rep_->stats.guard_materializations += ubs.guard_materializations;
     rep_->stats.guard_shares += ubs.guard_shares;
-    rep_->stats.sharded_applies += ubs.sharded_applies;
-    rep_->stats.apply_shards_executed += ubs.apply_shards;
   }
   return st;
 }
@@ -378,12 +350,8 @@ Session Session::CowClone(SessionOptions clone_options,
 }
 
 api::Snapshot Session::Snapshot() const {
-  SessionOptions opts = rep_->options;
-  // The private copy is read by one caller at a time; its own Run fan-out
-  // stays sequential (a snapshot read should not commandeer the pool).
-  opts.threads = 1;
   std::unordered_map<std::string, uint64_t> versions;
-  Session inner = CowClone(opts, &versions);
+  Session inner = CowClone(rep_->options, &versions);
   {
     std::lock_guard<std::mutex> lock(rep_->cache_mu);
     rep_->stats.snapshots++;

@@ -15,11 +15,16 @@
 // The WSD family runs on one algebra. Section 5 defines a WSDT as a WSD
 // plus template relations holding what every world agrees on, so a kWsd
 // session adopts its Section 4 decomposition at the edge (Wsdt::FromWsd)
-// and from then on holds a Wsdt: every operator, update, answer and
-// fan-out runs through the WSDT backend, exactly as on kWsdt. The kind
-// stays a tag — it names what the caller handed in — and core::Wsd stays
-// the Section 4 data type and oracle (chase, or-sets, normalization, world
-// enumeration, confidence) below the facade.
+// and from then on holds a Wsdt: every operator, update and answer runs
+// through the WSDT backend, exactly as on kWsdt. The kind stays a tag — it
+// names what the caller handed in — and core::Wsd stays the Section 4 data
+// type and oracle (chase, or-sets, normalization, world enumeration,
+// confidence) below the facade.
+//
+// Evaluation is sequential: Run, RunAll, Apply and ApplyAll execute on the
+// calling thread, one operator at a time, whatever SessionOptions::threads
+// says (Figure 30's claim is that a query costs about one world,
+// sequentially).
 //
 // Representation-level tooling (chase, normalization, statistics, or-set
 // noise) stays below the facade; wsdt()/uniform()/urel() expose the owned
@@ -75,12 +80,8 @@ Result<BackendKind> ParseBackendKind(std::string_view name);
 
 /// Execution policy of a Session.
 struct SessionOptions {
-  /// Worker threads for the Run and ApplyAll fan-outs: 1 evaluates
-  /// sequentially (the default), N > 1 shards the plan's partitionable
-  /// input relation — or an unconditional delete/modify's target relation —
-  /// across at most N workers, 0 uses the hardware concurrency. Plans,
-  /// updates or backends that cannot shard fall back to sequential
-  /// execution automatically.
+  /// Accepted and ignored: Run and ApplyAll always evaluate sequentially.
+  /// Kept so existing callers that set it still compile.
   int threads = 1;
   /// Caching: common subplans across a RunAll workload, and the memoized
   /// answer surface (PossibleTuples/CertainTuples/TupleConfidence per
@@ -91,15 +92,15 @@ struct SessionOptions {
 /// Cumulative execution counters of a Session (see Stats()).
 struct SessionStats {
   uint64_t runs = 0;           ///< Run/RunOptimized calls
-  uint64_t sharded_runs = 0;   ///< runs that fanned out across workers
-  uint64_t shards_executed = 0;  ///< total shards across sharded runs
-  uint64_t fallback_runs = 0;  ///< runs that fell back to a single shard
+  /// Always 0: no run fans out. Kept for existing readers of the field.
+  uint64_t sharded_runs = 0;
+  /// Always 0: no run fans out, so none falls back. Kept for existing
+  /// readers of the field.
+  uint64_t fallback_runs = 0;
   uint64_t batches = 0;        ///< RunAll calls
   uint64_t cache_hits = 0;     ///< RunAll subplan-cache hits
   uint64_t cache_misses = 0;   ///< RunAll subplan-cache misses
   uint64_t applies = 0;          ///< Apply/ApplyAll update operations
-  uint64_t sharded_applies = 0;  ///< updates that fanned out across workers
-  uint64_t apply_shards_executed = 0;  ///< total shards across sharded applies
   uint64_t snapshots = 0;        ///< Snapshot() views taken
   uint64_t forks = 0;            ///< Fork() clones taken
   /// Reads (answer surface, Stats, Snapshot) that had to wait behind an
@@ -182,9 +183,9 @@ class Session {
   const SessionOptions& options() const;
   void set_options(const SessionOptions& options);
 
-  /// Cumulative execution counters (runs, shard fan-outs, cache hits,
-  /// representation round trips). Returns a snapshot by value — safe
-  /// against concurrent const getters updating the answer-cache counters.
+  /// Cumulative execution counters (runs, cache hits, representation
+  /// round trips). Returns a snapshot by value — safe against concurrent
+  /// const getters updating the answer-cache counters.
   SessionStats Stats() const;
 
   // -- Catalog --------------------------------------------------------------
@@ -203,16 +204,11 @@ class Session {
   // -- Query evaluation -----------------------------------------------------
 
   /// Evaluates `plan` through the shared engine driver, adding the result
-  /// under `out`. Scratch relations are dropped on every path. With
-  /// options().threads > 1, plans whose partitionable input relation
-  /// splits into independent tuple groups fan out across a worker pool;
-  /// the result relation's world-set is identical to the sequential one
-  /// (its correlation to the input relations is weakened — shard results
-  /// attach to slice copies of the input components).
+  /// under `out`. Scratch relations are dropped on every path.
   Status Run(const rel::Plan& plan, const std::string& out);
 
   /// Runs the Section 5 logical optimizations against the session catalog
-  /// first, then evaluates the rewritten plan (same fan-out policy).
+  /// first, then evaluates the rewritten plan.
   Status RunOptimized(const rel::Plan& plan, const std::string& out);
 
   /// Evaluates a workload of plans in order, `plans[i]` materializing
@@ -234,12 +230,8 @@ class Session {
 
   /// Applies a workload of updates in order; stops at the first error
   /// (already-applied updates remain — updates are not transactional).
-  /// With options().threads > 1, runs of consecutive unconditional
-  /// deletes/modifies on one relation fan out over shard slices of that
-  /// relation (sliced once per run, so the copy amortizes over the run's
-  /// length) and merge back in shard order as workers finish — the same
-  /// slicing Run uses; inserts and world-conditional updates stay
-  /// sequential.
+  /// Structurally equal world conditions share one guard materialization
+  /// (engine::ApplyUpdates).
   Status ApplyAll(std::span<const rel::UpdateOp> ops);
 
   /// Monotonic per-relation version: bumped by Register, Apply, Drop and

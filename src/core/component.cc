@@ -136,13 +136,6 @@ Component Component::ProjectColumns(const std::vector<size_t>& cols) const {
   return out;
 }
 
-Component Component::WithFields(std::vector<FieldKey> fields) const {
-  assert(fields.size() == fields_.size());
-  Component out(std::move(fields));
-  out.node_ = node_;
-  return out;
-}
-
 void Component::RemoveWorld(size_t world) {
   EnsureMutable();
   size_t n = node_->worlds;

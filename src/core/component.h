@@ -109,11 +109,6 @@ class Component {
   /// Keeps only the columns in `cols` (in that order).
   Component ProjectColumns(const std::vector<size_t>& cols) const;
 
-  /// This component's payload shared as-is under `fields` (which must
-  /// match the field count): the copy-on-write slice primitive — O(1), no
-  /// materialization, mutations on either side privatize first.
-  Component WithFields(std::vector<FieldKey> fields) const;
-
   /// True when `other` shares this component's payload node.
   bool SharesPayloadWith(const Component& other) const {
     return node_ != nullptr && node_ == other.node_;

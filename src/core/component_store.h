@@ -31,7 +31,7 @@
 // Thread-safety: nodes referenced by more than one owner are immutable
 // (copy-on-write guarantees it), forcing is idempotent and guarded by a
 // striped mutex, and the statistics are process-global atomics — so
-// concurrent shard builds may share and force nodes freely. Nodes are
+// sessions on different threads may share and force nodes freely. Nodes are
 // refcounted intrusively (NodeRef) rather than via shared_ptr so that the
 // mutate-in-place probe is a *sound* synchronization point: releases
 // decrement with acq_rel, NodeRef::unique() loads with acquire, so a

@@ -11,10 +11,8 @@
 // so RoundTrips() stays 0. Answers import one relation's slice of the
 // store (its template, F and C rows, and the W rows of the components
 // they reference) and run the Section 6 confidence functions on it —
-// the only import left on this backend. The store does not partition
-// (the interface's null PlanShards), so a threaded Session::Run
-// evaluates sequentially here. System relations are hidden from the
-// catalog.
+// the only import left on this backend. System relations are hidden
+// from the catalog.
 
 #ifndef MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_
 #define MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/engine/parallel.h"
 #include "core/engine/plan_driver.h"
 #include "rel/plan_hash.h"
 
@@ -109,7 +108,7 @@ Status ApplyUpdate(WorldSetOps& ops, const rel::UpdateOp& op) {
 }
 
 Status ApplyUpdates(WorldSetOps& ops, std::span<const rel::UpdateOp> ops_list,
-                    size_t threads, UpdateBatchStats* stats) {
+                    UpdateBatchStats* stats) {
   /// A materialized guard snapshot plus the relations its condition read
   /// (an applied update on any of them invalidates the snapshot).
   struct CachedGuard {
@@ -120,12 +119,10 @@ Status ApplyUpdates(WorldSetOps& ops, std::span<const rel::UpdateOp> ops_list,
       guards;
   ScratchScope scope(ops);
   Status st = Status::Ok();
-  size_t idx = 0;
-  while (idx < ops_list.size()) {
-    const rel::UpdateOp& op = ops_list[idx];
-    size_t next = idx + 1;
+  for (const rel::UpdateOp& op : ops_list) {
     st = ValidateUpdate(ops, op);
     if (!st.ok()) break;
+    std::string guard;
     if (op.has_world_condition()) {
       auto it = guards.find(op.world_condition());
       if (it == guards.end()) {
@@ -148,36 +145,9 @@ Status ApplyUpdates(WorldSetOps& ops, std::span<const rel::UpdateOp> ops_list,
       } else if (stats != nullptr) {
         stats->guard_shares++;
       }
-      st = ops.ApplyUpdate(op, it->second.guard);
-    } else {
-      // Unconditional deletes/modifies are the fan-out candidates. Extend
-      // the run across consecutive unconditional deletes/modifies of the
-      // SAME relation: one slicing then serves the whole run, which is
-      // what lets the fan-out beat k sequential one-pass updates.
-      // Deletes/modifies never change a schema or drop a relation, so
-      // validating the run up front equals validating each op against the
-      // intermediate states; an op failing validation just ends the run
-      // and reports its error on its own turn through the outer loop.
-      if (threads > 1 && op.kind() != rel::UpdateOp::Kind::kInsert) {
-        while (next < ops_list.size()) {
-          const rel::UpdateOp& peek = ops_list[next];
-          if (peek.has_world_condition() ||
-              peek.kind() == rel::UpdateOp::Kind::kInsert ||
-              peek.relation() != op.relation() ||
-              !ValidateUpdate(ops, peek).ok()) {
-            break;
-          }
-          ++next;
-        }
-      }
-      std::span<const rel::UpdateOp> run = ops_list.subspan(idx, next - idx);
-      ParallelStats ps;
-      st = ApplyUpdatesSharded(ops, run, threads, &ps);
-      if (ps.sharded && stats != nullptr) {
-        stats->sharded_applies += run.size();
-        stats->apply_shards += ps.shards;
-      }
+      guard = it->second.guard;
     }
+    st = ops.ApplyUpdate(op, guard);
     if (!st.ok()) break;
     // The applied op mutated its target: cached guards whose condition
     // read it are stale now — sequential semantics re-evaluate them.
@@ -185,7 +155,6 @@ Status ApplyUpdates(WorldSetOps& ops, std::span<const rel::UpdateOp> ops_list,
       it = it->second.scans.count(op.relation()) ? guards.erase(it)
                                                  : std::next(it);
     }
-    idx = next;
   }
   Status drop = scope.DropAll();
   return st.ok() ? drop : st;

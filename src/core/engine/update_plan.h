@@ -34,28 +34,22 @@ Status ValidateUpdate(WorldSetOps& ops, const rel::UpdateOp& op);
 Status ApplyUpdate(WorldSetOps& ops, const rel::UpdateOp& op);
 
 /// Batch accounting for ApplyUpdates: how many world conditions were
-/// actually evaluated versus served from the batch's guard cache, and how
-/// many unconditional updates fanned out over shard slices.
+/// actually evaluated versus served from the batch's guard cache.
 struct UpdateBatchStats {
   uint64_t guard_materializations = 0;  ///< conditions evaluated + copied
   uint64_t guard_shares = 0;            ///< updates reusing a cached guard
-  uint64_t sharded_applies = 0;         ///< updates that fanned out
-  uint64_t apply_shards = 0;            ///< total shards across fan-outs
 };
 
-/// Applies a workload of updates in order, stopping at the first error
-/// (already-applied updates remain applied — updates are in-place and not
-/// transactional). Updates with structurally equal world conditions (the
-/// rel::PlanHash/PlanEqual notion UpdateOpHash builds on) share one guard
-/// materialization; a cached guard is discarded as soon as an applied
-/// update mutates a relation its condition reads, so later updates in the
-/// batch still see post-update guards, exactly as sequential Apply calls
-/// would. With threads > 1, unconditional deletes/modifies fan out over
-/// shard slices of their target relation (engine/parallel.h,
-/// ApplyUpdateSharded) when the backend can slice it soundly; everything
-/// else stays sequential.
+/// Applies a workload of updates in order, one at a time, stopping at the
+/// first error (already-applied updates remain applied — updates are
+/// in-place and not transactional). Updates with structurally equal world
+/// conditions (the rel::PlanHash/PlanEqual notion UpdateOpHash builds on)
+/// share one guard materialization; a cached guard is discarded as soon as
+/// an applied update mutates a relation its condition reads, so later
+/// updates in the batch still see post-update guards, exactly as
+/// sequential Apply calls would.
 Status ApplyUpdates(WorldSetOps& ops, std::span<const rel::UpdateOp> ops_list,
-                    size_t threads = 1, UpdateBatchStats* stats = nullptr);
+                    UpdateBatchStats* stats = nullptr);
 
 }  // namespace maywsd::core::engine
 

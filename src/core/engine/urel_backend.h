@@ -17,7 +17,6 @@
 #define MAYWSD_CORE_ENGINE_UREL_BACKEND_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,15 +27,11 @@
 
 namespace maywsd::core::engine {
 
-/// Adapts a Urel store to the engine contract. Non-owning by default; the
-/// store must outlive the backend. The rvalue overload takes ownership
-/// (shard slices are self-contained backends).
+/// Adapts a Urel store to the engine contract. Non-owning; the store must
+/// outlive the backend.
 class UrelBackend : public WorldSetOps {
  public:
   explicit UrelBackend(Urel& urel) : urel_(&urel) {}
-  explicit UrelBackend(Urel&& owned)
-      : owned_(std::make_unique<Urel>(std::move(owned))),
-        urel_(owned_.get()) {}
 
   /// The adapted representation.
   Urel& urel() { return *urel_; }
@@ -100,18 +95,14 @@ class UrelBackend : public WorldSetOps {
                   const std::string& out, const std::string& left_attr,
                   const std::string& right_attr) override;
 
-  Result<bool> RelationCertain(const std::string& name) const override;
-  Result<std::unique_ptr<ShardPlan>> PlanShards(
-      const ShardRequest& req) override;
-
   uint64_t RoundTrips() const override { return round_trips_; }
 
  private:
-  /// Runs `op` on the imported WSDT and re-exports the store — the
-  /// template-semantics escape hatch, counted as one round trip.
+  /// Runs `op` on the imported WSDT, its components compressed, and
+  /// re-exports the store — the template-semantics escape hatch, counted
+  /// as one round trip.
   Status Fallback(const std::function<Status(Wsdt&)>& op);
 
-  std::unique_ptr<Urel> owned_;
   Urel* urel_;
   uint64_t round_trips_ = 0;
 };

@@ -20,12 +20,15 @@
 // arbitrary-predicate selection evaluated in one pass, a fused σ(×) hash
 // join — the Section 5 optimizations); the driver uses them when present
 // and otherwise falls back to the generic lowering.
+//
+// The driver calls the operators one at a time on the caller's thread; a
+// backend is never asked to partition its state. Figure 30's claim is that
+// a WSDT query costs about one world evaluated sequentially.
 
 #ifndef MAYWSD_CORE_ENGINE_WORLD_SET_OPS_H_
 #define MAYWSD_CORE_ENGINE_WORLD_SET_OPS_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -40,67 +43,6 @@
 #include "rel/update.h"
 
 namespace maywsd::core::engine {
-
-class WorldSetOps;
-
-/// What the parallel driver asks a backend to partition: the state of one
-/// relation, split by tuple ranges into independent slices, with a set of
-/// fully certain auxiliary relations replicated into every slice.
-struct ShardRequest {
-  /// The relation whose tuple slots are partitioned across shards.
-  std::string relation;
-  /// Other relations the plan references; each must be certain (equal in
-  /// every world) so replicating it into a slice cannot lose correlations.
-  std::vector<std::string> aux_relations;
-  /// Upper bound on the number of shards (the worker-pool width).
-  size_t max_shards = 1;
-  /// True when the shards carry an in-place update fan-out: the driver
-  /// will mutate each slice and then REPLACE the parent relation with the
-  /// absorbed slices (drop + re-absorb under the same name). A backend
-  /// must decline unless every component touching `relation` covers only
-  /// that relation's columns — a cross-relation component cannot be
-  /// dropped and rebuilt per slice without losing the correlation — and
-  /// should decline when slicing cannot beat its native one-pass update.
-  bool for_update = false;
-};
-
-/// A backend's partitioning of one relation into independent slices.
-///
-/// Lifecycle, driven by EvaluateParallel and ApplyUpdatesSharded
-/// (engine/parallel.h):
-///   1. BuildShard(i) — called concurrently from worker threads; must only
-///      READ the parent representation. Returns a self-contained backend
-///      whose `relation` holds slice i and whose aux relations are full
-///      certain copies. The slice world-sets are mutually independent and
-///      their union is the marginal world-set of the parent relation.
-///   2. Absorb(shard, ...) — called on the coordinating thread, in
-///      shard-index order (this is what makes the merged result
-///      deterministic regardless of completion order), only after every
-///      BuildShard returned. Workers may still be EXECUTING on later
-///      shards while a shard is absorbed — the streaming merge overlaps
-///      merging with the slowest shards — so Absorb must touch only the
-///      parent and the finished shard, never another shard's state.
-///      Merges the shard's relation `src` into the parent's `dst`,
-///      creating `dst` on the first call; the last absorb leaves the
-///      parent complete.
-///
-/// Sharded evaluation preserves the result relation's world-set exactly;
-/// cross-relation correlation between the result and its input relations
-/// (which sequential evaluation keeps) is intentionally weakened — shard
-/// results attach to copies of the input components, not to the originals.
-class ShardPlan {
- public:
-  virtual ~ShardPlan() = default;
-
-  virtual size_t NumShards() const = 0;
-
-  /// Builds the self-contained world set of shard `i`. Thread-safe.
-  virtual Result<std::unique_ptr<WorldSetOps>> BuildShard(size_t i) const = 0;
-
-  /// Merges `shard`'s relation `src` into the parent's `dst`.
-  virtual Status Absorb(WorldSetOps& shard, const std::string& src,
-                        const std::string& dst) = 0;
-};
 
 /// Shared guard for AddCertainRelation implementations: a fully certain
 /// instance may contain neither ⊥ (deleted-tuple marker) nor '?'
@@ -270,31 +212,6 @@ class WorldSetOps {
                           const std::string& /*right_attr*/) {
     return Status::Unsupported(std::string(BackendName()) +
                                " backend has no native hash join");
-  }
-
-  // -- Sharding capability (parallel Session::Run fan-out) -------------------
-  //
-  // The Figure 9 operators are per-relation and largely per-tuple-slot
-  // independent, so a backend whose state partitions into tuple ranges
-  // that share no components can evaluate a plan slice-by-slice in
-  // parallel. Every operator kind runs inside a slice; the driver decides
-  // which relation to partition and whether a query fan-out can pay
-  // (engine/parallel.h), the backend whether and how it can slice.
-
-  /// True iff `name` is identical in every world. Shard auxiliaries must
-  /// be certain so replicating them per shard cannot lose correlations.
-  /// Conservative default: unknown relations count as uncertain.
-  virtual Result<bool> RelationCertain(const std::string& /*name*/) const {
-    return false;
-  }
-
-  /// Partitions `req.relation` by tuple ranges into at most req.max_shards
-  /// independent slices. Returns a null plan when the relation cannot be
-  /// partitioned (fewer than two independent tuple groups, or no backend
-  /// support); errors only signal real failures.
-  virtual Result<std::unique_ptr<ShardPlan>> PlanShards(
-      const ShardRequest& /*req*/) {
-    return std::unique_ptr<ShardPlan>();
   }
 };
 

@@ -1,6 +1,5 @@
 #include "core/engine/wsdt_backend.h"
 
-#include "core/engine/shard_plan.h"
 #include "core/wsdt_algebra.h"
 #include "core/wsdt_confidence.h"
 #include "core/wsdt_update.h"
@@ -126,16 +125,6 @@ Status WsdtBackend::HashJoin(const std::string& left, const std::string& right,
                              const std::string& left_attr,
                              const std::string& right_attr) {
   return WsdtJoin(*wsdt_, left, right, out, left_attr, right_attr);
-}
-
-Result<bool> WsdtBackend::RelationCertain(const std::string& name) const {
-  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* tmpl, wsdt_->Template(name));
-  return TemplateIsCertain(*tmpl);
-}
-
-Result<std::unique_ptr<ShardPlan>> WsdtBackend::PlanShards(
-    const ShardRequest& req) {
-  return MakeWsdtShardPlan(*wsdt_, req);
 }
 
 }  // namespace maywsd::core::engine

@@ -11,7 +11,6 @@
 #ifndef MAYWSD_CORE_ENGINE_WSDT_BACKEND_H_
 #define MAYWSD_CORE_ENGINE_WSDT_BACKEND_H_
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,15 +20,11 @@
 
 namespace maywsd::core::engine {
 
-/// Adapts a Wsdt to the engine contract. Non-owning by default; the Wsdt
-/// must outlive the backend. The rvalue overload takes ownership (shard
-/// slices are self-contained backends).
+/// Adapts a Wsdt to the engine contract. Non-owning; the Wsdt must
+/// outlive the backend.
 class WsdtBackend : public WorldSetOps {
  public:
   explicit WsdtBackend(Wsdt& wsdt) : wsdt_(&wsdt) {}
-  explicit WsdtBackend(Wsdt&& owned)
-      : owned_(std::make_unique<Wsdt>(std::move(owned))),
-        wsdt_(owned_.get()) {}
 
   /// The adapted representation.
   Wsdt& wsdt() { return *wsdt_; }
@@ -88,12 +83,7 @@ class WsdtBackend : public WorldSetOps {
                   const std::string& out, const std::string& left_attr,
                   const std::string& right_attr) override;
 
-  Result<bool> RelationCertain(const std::string& name) const override;
-  Result<std::unique_ptr<ShardPlan>> PlanShards(
-      const ShardRequest& req) override;
-
  private:
-  std::unique_ptr<Wsdt> owned_;  // declared before wsdt_ (init order)
   Wsdt* wsdt_;
 };
 

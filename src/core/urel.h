@@ -133,16 +133,10 @@ class Urel {
   // The dictionary and the variable table live behind one refcounted,
   // copy-on-write table (common::Cow, whose shared-or-unique probe is a
   // genuine acquire/release synchronization point): copying a Urel (and
-  // shard slices built via ShareSymbolsFrom, and sessions pinned via
-  // Snapshot()/Fork()) share it, so dictionary ids and VarIds transfer
-  // verbatim between sharers; the first divergent Intern/AddVariable
-  // privatizes. Ids are append-only, so ids minted before a split stay
-  // valid in every sharer.
-
-  /// Makes this store share `other`'s symbol table (this store's
-  /// dictionary and variables must not be referenced by its relations —
-  /// typically a freshly constructed slice).
-  void ShareSymbolsFrom(const Urel& other) { symbols_ = other.symbols_; }
+  // so pinning a session via Snapshot()/Fork()) shares it, so dictionary
+  // ids and VarIds transfer verbatim between sharers; the first divergent
+  // Intern/AddVariable privatizes. Ids are append-only, so ids minted
+  // before a split stay valid in every sharer.
 
   /// True while both stores still reference the same symbol table, i.e.
   /// value ids and variable ids agree verbatim.

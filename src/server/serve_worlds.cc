@@ -4,7 +4,7 @@
 // to stdout (see protocol.h for the grammar). Blank lines and lines
 // starting with '#' are skipped; "quit" / "exit" ends the loop.
 //
-//   $ serve_worlds --threads=4
+//   $ serve_worlds
 //   open s wsdt
 //   register s R a,b 1,2 3,4
 //   read s R
@@ -14,27 +14,21 @@
 // to parse or execute, so examples and CI can drive the server
 // non-interactively and assert on the outcome.
 //
-// Each session the server opens inherits --threads as its fan-out budget
-// (Run and unconditional-update sharding); requests stream sequentially
-// here — concurrent serving is exercised by WorldServer::ExecuteAll in
-// bench/fig_serving.cc.
+// Requests stream sequentially here — concurrent serving is exercised by
+// WorldServer::ExecuteAll in bench/fig_serving.cc.
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <istream>
 #include <string>
 
-#include "api/session.h"
 #include "server/protocol.h"
 #include "server/world_server.h"
 
 namespace {
 
 void PrintUsage() {
-  std::cout << "usage: serve_worlds [--threads=N] [--script FILE]\n"
-               "  --threads=N    per-session fan-out budget (default 1;\n"
-               "                 0 = hardware concurrency)\n"
+  std::cout << "usage: serve_worlds [--script FILE]\n"
                "  --script FILE  execute the requests in FILE and exit;\n"
                "                 non-zero on the first parse or request "
                "error\n";
@@ -74,13 +68,10 @@ int RunStream(std::istream& in, maywsd::server::WorldServer& server,
 }  // namespace
 
 int main(int argc, char** argv) {
-  maywsd::api::SessionOptions options;
   std::string script;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--script=", 0) == 0) {
+    if (arg.rfind("--script=", 0) == 0) {
       script = arg.substr(9);
     } else if (arg == "--script" && i + 1 < argc) {
       script = argv[++i];
@@ -94,7 +85,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  maywsd::server::WorldServer server(options);
+  maywsd::server::WorldServer server;
   if (!script.empty()) {
     std::ifstream file(script);
     if (!file) {

@@ -12,8 +12,7 @@ namespace {
 
 std::string FormatSessionStats(const api::SessionStats& s) {
   std::ostringstream os;
-  os << "runs=" << s.runs << " sharded_runs=" << s.sharded_runs
-     << " applies=" << s.applies << " sharded_applies=" << s.sharded_applies
+  os << "runs=" << s.runs << " applies=" << s.applies
      << " snapshots=" << s.snapshots << " forks=" << s.forks
      << " reader_blocked_waits=" << s.reader_blocked_waits
      << " answer_cache_hits=" << s.answer_cache_hits

@@ -82,8 +82,8 @@ struct ServerStats {
 
 class WorldServer {
  public:
-  /// Every session the server opens inherits `session_options` (thread
-  /// budget for Run/ApplyAll fan-outs, caching policy).
+  /// Every session the server opens inherits `session_options` (caching
+  /// policy).
   explicit WorldServer(api::SessionOptions session_options = {});
 
   WorldServer(const WorldServer&) = delete;

@@ -1,7 +1,7 @@
 // The interned component store, from the node layer up:
 //   - unit semantics: certain-singleton interning, copy-on-write breaks,
-//     O(1) lazy composition with memoized forcing, O(1) WithFields slices,
-//     and exact node/cell leak accounting across scopes,
+//     O(1) lazy composition with memoized forcing, and exact node/cell
+//     leak accounting across scopes,
 //   - the COW-vs-eager equivalence oracle: the same random plans and
 //     random update batches run with lazy composition (production mode)
 //     and with SetEagerForTesting(true) (every derived node materialized
@@ -97,18 +97,6 @@ TEST(ComponentStoreTest, ComposeRecordsO1AndForcesLazily) {
   EXPECT_EQ(after.forced_evals, mid.forced_evals + 1);
   EXPECT_EQ(cc.at(42, 1), I(42));
   EXPECT_EQ(store::GetStoreStats().forced_evals, after.forced_evals);
-}
-
-TEST(ComponentStoreTest, WithFieldsIsAPureHandleShare) {
-  Component a({FieldKey("R", 0, "A")});
-  for (int i = 0; i < 100; ++i) a.AddWorld({I(i)}, 0.01);
-  store::StoreStats before = store::GetStoreStats();
-  Component sliced = a.WithFields({FieldKey("OUT", 3, "A")});
-  EXPECT_TRUE(a.SharesPayloadWith(sliced));
-  EXPECT_EQ(sliced.field(0), FieldKey("OUT", 3, "A"));
-  store::StoreStats after = store::GetStoreStats();
-  EXPECT_EQ(after.live_cells, before.live_cells);
-  EXPECT_EQ(after.forced_evals, before.forced_evals);
 }
 
 TEST(ComponentStoreTest, NodesAndCellsAreReleasedExactly) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/session.h"
 #include "core/engine/plan_driver.h"
 #include "core/engine/update_plan.h"
@@ -645,6 +647,16 @@ TEST(UrelBackendTest, DifferencePastTheCapTakesExactlyOneRoundTrip) {
                   .ok());
   EXPECT_EQ(backend.RoundTrips(), 1u);
   ASSERT_TRUE(ValidateUrel(backend.urel()).ok());
+  // The import is compressed before the difference composes: a and b each
+  // matter only as "= 0" or "≠ 0", so the composed component has at most
+  // 2 × 2 distinct local worlds — not the 1024 × 1025 an uncompressed
+  // import multiplies out.
+  size_t widest = 0;
+  for (size_t v = 0; v < backend.urel().NumVariables(); ++v) {
+    widest = std::max(widest,
+                      backend.urel().Domain(static_cast<VarId>(v)).size());
+  }
+  EXPECT_LE(widest, 4u);
   // (7) survives where a ≠ 0 ∧ b ≠ 0: (1023/1024) · (1024/1025).
   std::vector<rel::Value> seven = {I(7)};
   auto conf = backend.TupleConfidence("OUT", seven);
